@@ -673,11 +673,11 @@ fn shard_run(spec: &str, options: &Options) -> Result<(), String> {
         .out
         .as_deref()
         .ok_or_else(|| usage("shard run needs --out <part.json>"))?;
-    if options.stop_ci.is_some() && options.coordinate.is_none() {
+    if options.stop_ci.is_some() && shard.count > 1 && options.coordinate.is_none() {
         return Err(usage(
-            "--stop-ci needs --coordinate <addr> under shard run (a lone shard never sees \
-             the folded prefix an adaptive stop rule decides on — point the fleet at a \
-             `scenario shard coordinate` endpoint)",
+            "--stop-ci needs --coordinate <addr> when the run is split over several shards \
+             (one shard of many never sees the folded prefix an adaptive stop rule decides \
+             on — point the fleet at a `scenario shard coordinate` endpoint)",
         ));
     }
     options.reject_unused(

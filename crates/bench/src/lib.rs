@@ -9,7 +9,8 @@
 //!   runs a CI-scale built-in, `scenario list`/`export` enumerate them.
 //! * **Support binaries**: `validate` (§V.A simulator validation against
 //!   the reference delay shape), `degree` (§V.C delay-variance-vs-degree
-//!   claim), `perf` (performance baseline snapshots).
+//!   claim). Performance is measured by the stand-alone `benchmark/`
+//!   package at the workspace root, not from here.
 //! * **Criterion benches** (`benches/`): engine/event-queue throughput,
 //!   network flooding, cluster-formation cost per protocol, and timed
 //!   wrappers around the figure regenerations.

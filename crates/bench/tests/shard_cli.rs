@@ -187,6 +187,25 @@ fn a_lone_shard_refuses_an_adaptive_stop_rule_with_a_pointer_to_the_coordinator(
             "rejection should mention {needle:?}:\n{stderr}"
         );
     }
+    // Shard 0/1 sees every run and evaluates the rule itself — declared
+    // in the file or installed with --stop-ci.
+    let whole = run(&[
+        "shard",
+        "run",
+        scenario.to_str().unwrap(),
+        "--shard",
+        "0/1",
+        "--stop-ci",
+        "0.9",
+        "--out",
+        dir.join("part-whole.json").to_str().unwrap(),
+    ]);
+    assert_success(&whole, "adaptive 0/1 shard");
+    let summary = stderr_of(&whole);
+    assert!(
+        summary.contains("shard=0/1") && !summary.contains("stop=none"),
+        "the loose rule stops inside the budget and the summary says where:\n{summary}"
+    );
 }
 
 #[test]

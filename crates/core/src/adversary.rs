@@ -281,7 +281,7 @@ pub fn adversarial_campaign_in_with_threads(
 
 /// Assembles an [`AdversaryReport`] from the two campaigns and the two
 /// warm-time infiltration measurements. Every field is a pure function of
-/// the inputs, so the batch path and a cross-shard merge that reassembled
+/// the inputs, so the direct campaign and a cross-shard merge that reassembled
 /// the same campaigns from run-range slices produce byte-identical
 /// reports.
 pub(crate) fn assemble_report(

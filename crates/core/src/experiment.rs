@@ -210,6 +210,46 @@ pub(crate) fn run_mean_delta(run: &RunResult) -> Option<f64> {
     (count > 0).then(|| sum / count as f64)
 }
 
+/// The pooled accumulators over a folded run prefix — what a stop rule,
+/// an observer and a coordinator envelope all read. One definition of the
+/// per-run fold, shared by the live [`CampaignFold`] and by resume (which
+/// refolds a persisted prefix through it to seed the fold bit-identically).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FoldedPrefix {
+    /// Pooled `Δt(m,n)` accumulator.
+    pub deltas: StreamingSummary,
+    /// Per-run mean `Δt(m,n)` accumulator: one observation per successful
+    /// run that harvested deltas. Runs are the paper's independent
+    /// replicates ("an average of approximately 1000 runs", §V.B) —
+    /// samples *within* a run share one measuring origin and are
+    /// correlated, so confidence-driven stop rules consult this, not
+    /// `deltas`.
+    pub run_means: StreamingSummary,
+    /// Successful measuring runs folded.
+    pub measured: usize,
+}
+
+impl FoldedPrefix {
+    /// The empty prefix (`StreamingSummary::new()`, whose extrema start at
+    /// ±∞ — not the derived `Default`).
+    pub fn new() -> Self {
+        FoldedPrefix {
+            deltas: StreamingSummary::new(),
+            run_means: StreamingSummary::new(),
+            measured: 0,
+        }
+    }
+
+    /// Folds one successful measuring run.
+    pub fn fold(&mut self, result: &RunResult) {
+        self.deltas.extend(result.deltas_ms.iter().copied());
+        if let Some(mean) = run_mean_delta(result) {
+            self.run_means.record(mean);
+        }
+        self.measured += 1;
+    }
+}
+
 /// One deterministic checkpoint of a streaming campaign: run `run_index`
 /// has just folded (in run-index order, under the fold lock), and these
 /// are the statistics accumulated over the folded prefix.
@@ -224,17 +264,9 @@ pub(crate) struct RunCheckpoint<'a> {
     /// Cumulative traffic over the folded prefix (warmup plus the folded
     /// runs' measurement windows) — what a checkpoint writer persists.
     pub traffic: &'a MessageStats,
-    /// Pooled `Δt(m,n)` accumulator over the folded prefix.
-    pub deltas: &'a StreamingSummary,
-    /// Per-run mean `Δt(m,n)` accumulator over the folded prefix: one
-    /// observation per successful run that harvested deltas. Runs are the
-    /// paper's independent replicates ("an average of approximately 1000
-    /// runs", §V.B) — samples *within* a run share one measuring origin
-    /// and are correlated, so confidence-driven stop rules consult this,
-    /// not `deltas`.
-    pub run_means: &'a StreamingSummary,
-    /// Successful measuring runs folded so far (including this one).
-    pub measured_runs: usize,
+    /// The pooled accumulators over the folded prefix (whole-prefix
+    /// values, also on a resumed range — see `run_campaign_range`).
+    pub folded: &'a FoldedPrefix,
 }
 
 /// In-order fold hook for streaming sessions: called once per run index
@@ -259,15 +291,11 @@ struct CampaignFold<'c, 'f> {
     runs: Vec<RunResult>,
     /// Warmup traffic plus the folded runs' window traffic.
     traffic: MessageStats,
-    /// Pooled `Δt(m,n)` accumulator over the folded runs.
-    deltas: StreamingSummary,
-    /// Per-run mean `Δt(m,n)` accumulator (one observation per successful
-    /// run with deltas).
-    run_means: StreamingSummary,
+    /// Pooled accumulators over the folded runs (seeded with the resumed
+    /// prefix's, so checkpoints always carry whole-prefix values).
+    prefix: FoldedPrefix,
     /// Folded run failures (panicking runs), in index order.
     failures: Vec<RunFailure>,
-    /// Successful measuring runs folded.
-    measured: usize,
     /// Optional stop/observe hook, evaluated at every fold.
     control: Option<&'c mut RunControl<'f>>,
 }
@@ -294,11 +322,7 @@ impl CampaignFold<'_, '_> {
             let (result, failure) = match outcome {
                 RunOutcome::Measured(result, window_traffic) => {
                     self.traffic.merge(&window_traffic);
-                    self.deltas.extend(result.deltas_ms.iter().copied());
-                    if let Some(mean) = run_mean_delta(&result) {
-                        self.run_means.record(mean);
-                    }
-                    self.measured += 1;
+                    self.prefix.fold(&result);
                     self.runs.push(result);
                     (self.runs.last(), None)
                 }
@@ -314,9 +338,7 @@ impl CampaignFold<'_, '_> {
                     result,
                     failure,
                     traffic: &self.traffic,
-                    deltas: &self.deltas,
-                    run_means: &self.run_means,
-                    measured_runs: self.measured,
+                    folded: &self.prefix,
                 };
                 if control(&checkpoint) {
                     self.stop_at = run_index;
@@ -497,6 +519,7 @@ impl ExperimentConfig {
             inspect_warm,
             control,
             0..self.runs,
+            FoldedPrefix::new(),
         )
     }
 
@@ -516,7 +539,10 @@ impl ExperimentConfig {
     /// derive from `(seed, run_index)` (never from what ran before), so
     /// executing `lo..hi` in one process yields exactly the runs a full
     /// campaign would have produced at those indices; [`crate::shard`]
-    /// merges such slices back into a whole campaign.
+    /// merges such slices back into a whole campaign. `prefix` seeds the
+    /// fold's pooled accumulators: empty for a fresh range, the refolded
+    /// persisted prefix for a resumed one, so every [`RunCheckpoint`]
+    /// carries whole-prefix statistics either way.
     ///
     /// `warm` optionally memoizes the built-and-warmed base network under
     /// its warm-recipe digest (see [`crate::warm`]): warmup is
@@ -535,6 +561,7 @@ impl ExperimentConfig {
         inspect_warm: Option<&mut dyn FnMut(&Network)>,
         control: Option<&mut RunControl<'_>>,
         run_range: std::ops::Range<usize>,
+        prefix: FoldedPrefix,
     ) -> Result<CampaignResult, String> {
         let build = |adversary: Option<Box<dyn Adversary>>| -> Result<Network, String> {
             let _span = bcbpt_obs::span("warmup");
@@ -570,10 +597,8 @@ impl ExperimentConfig {
             pending: BTreeMap::new(),
             runs: Vec::with_capacity(run_range.len()),
             traffic: warmup_traffic.clone(),
-            deltas: StreamingSummary::new(),
-            run_means: StreamingSummary::new(),
+            prefix,
             failures: Vec::new(),
-            measured: 0,
             control,
         });
         let measure_span = bcbpt_obs::span("measure");

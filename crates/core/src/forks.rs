@@ -180,7 +180,7 @@ pub(crate) fn mine_range(
 
 /// Assembles the cell-level [`ForkReport`] from replicated runs. Every
 /// field is a pure function of the run slice and the total traffic, so
-/// the batch path and a cross-shard merge that concatenated the same
+/// the direct campaign and a cross-shard merge that concatenated the same
 /// runs produce byte-identical reports.
 pub(crate) fn fork_report_from_runs(
     protocol: String,

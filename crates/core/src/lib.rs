@@ -96,7 +96,9 @@ pub use coordinate::{
 pub use degree::{degree_variance, degree_variance_table, DegreeVariance};
 pub use experiment::{cluster_sizes, CampaignResult, ExperimentConfig, RunResult};
 pub use figures::{fig3, fig4, threshold_sweep, FigureBundle};
-pub use forks::{fork_experiment, fork_experiment_in, fork_table, ForkReport, RelayForkExt};
+pub use forks::{
+    fork_experiment, fork_experiment_in, fork_table, mining_campaign_in, ForkReport, RelayForkExt,
+};
 pub use overhead::{overhead_table, OverheadReport};
 #[cfg(feature = "fault-injection")]
 pub use resilience::fault;

@@ -16,12 +16,12 @@
 //! [`Summary`]/[`Ecdf`] accessors and the table/figure renderers the old
 //! drivers printed.
 
-use crate::adversary::{adversarial_campaign_in_with_threads, AdversaryReport, ADVERSARY_COLUMNS};
+use crate::adversary::{AdversaryReport, ADVERSARY_COLUMNS};
 use crate::attacks::{
     eclipse_exposure_in, partition_resilience_in, EclipseReport, PartitionReport,
 };
 use crate::experiment::{CampaignResult, ExperimentConfig};
-use crate::forks::{fork_experiment_in, mining_campaign_in, ForkReport};
+use crate::forks::{fork_experiment_in, ForkReport};
 use crate::overhead::{OverheadReport, OVERHEAD_COLUMNS};
 use crate::session::{ScenarioSession, StopRule};
 use bcbpt_adversary::AdversaryStrategy;
@@ -686,17 +686,17 @@ impl Scenario {
         Ok(())
     }
 
-    /// Opens a streaming [`ScenarioSession`] over this scenario: attach
-    /// observers, pick a [`StopRule`], then
+    /// Opens a [`ScenarioSession`] over this scenario: attach observers,
+    /// pick a [`StopRule`], a thread count or a warm cache, then
     /// [`block`](ScenarioSession::block) for the outcome.
     pub fn session(&self) -> ScenarioSession<'_> {
         ScenarioSession::new(self)
     }
 
-    /// Runs the scenario against the built-in protocol set — a thin
-    /// wrapper over [`session`](Self::session) with the scenario's
-    /// declared stop rule (default [`StopRule::FixedRuns`], which is
-    /// byte-identical to the batch reference [`run_batch`](Self::run_batch)).
+    /// Runs the scenario against the built-in protocol set with its
+    /// declared stop rule (default [`StopRule::FixedRuns`]) — a
+    /// [`session`](Self::session) with every option at its default, i.e.
+    /// shard 0/1 of the scenario executor behind [`run_shard`](crate::run_shard).
     ///
     /// # Errors
     ///
@@ -715,11 +715,9 @@ impl Scenario {
         self.session().block_in(registry)
     }
 
-    /// Reference batch implementation against the built-in protocol set:
-    /// every cell consumes its whole `runs` budget, no events stream, and
-    /// any declared `stop` rule is ignored. This is to [`run`](Self::run)
-    /// what `ExperimentConfig::run_serial` is to `run` — the determinism
-    /// baseline a `FixedRuns` session must reproduce byte-for-byte.
+    /// [`run`](Self::run) with any declared `stop` rule ignored: every
+    /// cell consumes its whole `runs` budget. Runs a copy of the scenario
+    /// with `stop = None` through the same executor.
     ///
     /// # Errors
     ///
@@ -735,73 +733,35 @@ impl Scenario {
     ///
     /// Propagates validation and configuration errors.
     pub fn run_batch_in(&self, registry: &ProtocolRegistry) -> Result<ScenarioOutcome, String> {
-        self.validate_in(registry)?;
-        let mut cells = Vec::new();
-        for cell in self.cells() {
-            // A cell that fails at run time does not abort the sweep: the
-            // error is recorded in its outcome and surfaced by the
-            // renderers, so one bad cell cannot silently NaN a whole table.
-            let report = self
-                .run_cell_batch(registry, &cell, None)
-                .unwrap_or_else(|error| CellReport::Failed { error });
-            cells.push(CellOutcome::new(
-                cell.label,
-                cell.protocol.to_string(),
-                cell.num_nodes,
-                report,
-            ));
+        Scenario {
+            stop: None,
+            ..self.clone()
         }
-        Ok(ScenarioOutcome::new(
-            self.name.clone(),
-            self.workload.clone(),
-            cells,
-        ))
+        .run_in(registry)
     }
 
-    /// Runs one expanded sweep cell to its full budget (the non-streaming
-    /// path; sessions use it for single-shot and paired workloads).
-    pub(crate) fn run_cell_batch(
+    /// Runs one cell of an indivisible experiment — legacy single-shot
+    /// mining (`runs: 0`), eclipse exposure, partition resilience — whole.
+    /// Every other workload splits by run range and executes in
+    /// [`crate::shard`].
+    pub(crate) fn run_single_shot_cell(
         &self,
         registry: &ProtocolRegistry,
         cell: &ScenarioCell,
-        threads: Option<usize>,
     ) -> Result<CellReport, String> {
-        // Campaign-shaped workloads honour an explicit worker-thread count
-        // (output is thread-count invariant either way); the single-shot
-        // experiments (mining, eclipse, partition) are one simulation and
-        // have no pool to size.
-        let campaign_threads =
-            threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let cfg = self.cell_config(cell);
         Ok(match &self.workload {
-            Workload::TxFlood | Workload::ChurnBurst { .. } => CellReport::Campaign {
-                campaign: cfg.run_in_with_threads(registry, campaign_threads)?,
-            },
-            Workload::OverheadProbe => CellReport::Overhead {
-                report: OverheadReport::from_campaign(
-                    &cfg.run_in_with_threads(registry, campaign_threads)?,
-                ),
-            },
-            // `runs: 0` keeps the legacy single-shot experiment (mine
-            // once over the warmup+window); `runs >= 1` replicates the
-            // mining window off one warmed snapshot, each run reseeded
-            // from `(seed, run_index)` — the shape that shards by run
-            // range.
             Workload::Mining {
                 block_interval_ms,
                 duration_ms,
             } => CellReport::Forks {
-                report: if self.runs == 0 {
-                    fork_experiment_in(
-                        registry,
-                        &cfg,
-                        cell.protocol.clone(),
-                        *block_interval_ms,
-                        *duration_ms,
-                    )?
-                } else {
-                    mining_campaign_in(registry, &cfg, *block_interval_ms, *duration_ms, self.runs)?
-                },
+                report: fork_experiment_in(
+                    registry,
+                    &cfg,
+                    cell.protocol.clone(),
+                    *block_interval_ms,
+                    *duration_ms,
+                )?,
             },
             Workload::Eclipse {
                 adversary_fraction,
@@ -818,18 +778,12 @@ impl Scenario {
             Workload::Partition => CellReport::Partition {
                 report: partition_resilience_in(registry, &cfg, cell.protocol.clone())?,
             },
-            Workload::Adversarial {
-                strategy,
-                attackers,
-            } => CellReport::Adversary {
-                report: adversarial_campaign_in_with_threads(
-                    registry,
-                    &cfg,
-                    strategy,
-                    *attackers,
-                    campaign_threads,
-                )?,
-            },
+            other => {
+                return Err(format!(
+                    "{} cells split by run range; they have no single-shot form",
+                    other.kind()
+                ))
+            }
         })
     }
 }
@@ -876,9 +830,7 @@ pub enum CellReport {
 }
 
 /// Lazily-computed pooled `Δt(m,n)` statistics, excluded from
-/// serialization and equality. Streaming sessions pre-populate it from
-/// their folded accumulators, so the accessors never re-collect; batch
-/// and deserialized outcomes fill it on first use.
+/// serialization and equality; filled on first use.
 #[derive(Debug, Clone, Default)]
 struct StatsCache {
     summary: OnceLock<Option<Summary>>,
@@ -952,25 +904,6 @@ impl CellOutcome {
         }
     }
 
-    /// Builds a cell outcome whose pooled summary was already folded by a
-    /// streaming session (same sample order as the batch recompute, so
-    /// the cached value is bit-identical to a lazy one). Only seeded when
-    /// the report actually carries a campaign; the ECDF stays lazy — its
-    /// one-time sort is bounded by the cache anyway, and pre-building it
-    /// would hold a second copy of every sample alongside the campaign.
-    pub(crate) fn with_delta_cache(
-        label: String,
-        protocol: String,
-        num_nodes: usize,
-        report: CellReport,
-        summary: Summary,
-    ) -> Self {
-        let cell = CellOutcome::new(label, protocol, num_nodes, report);
-        if cell.campaign().is_some() {
-            let _ = cell.cache.summary.set(Some(summary));
-        }
-        cell
-    }
     /// The underlying campaign, when the workload produced one (for
     /// adversarial cells: the *attacked* campaign).
     pub fn campaign(&self) -> Option<&CampaignResult> {
@@ -990,7 +923,7 @@ impl CellOutcome {
     }
 
     /// Streaming summary of this cell's pooled `Δt(m,n)` samples.
-    /// Computed once (or folded live by the session) and cached.
+    /// Computed once and cached.
     pub fn delta_summary(&self) -> Option<Summary> {
         *self
             .cache
@@ -999,8 +932,8 @@ impl CellOutcome {
     }
 
     /// ECDF of this cell's pooled `Δt(m,n)` samples (`None` when the
-    /// workload has none, or no run produced a delta). Computed once (or
-    /// folded live by the session) and cached.
+    /// workload has none, or no run produced a delta). Computed once and
+    /// cached.
     pub fn delta_ecdf(&self) -> Option<Ecdf> {
         self.cache
             .ecdf

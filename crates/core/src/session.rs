@@ -1,19 +1,19 @@
 //! Streaming campaign sessions: observable runs and adaptive stopping.
 //!
-//! [`Scenario::run`] is a batch call — it blocks until every cell has
-//! consumed its whole `runs` budget and only then returns anything. A
-//! [`ScenarioSession`] drives the same parallel runner but *streams*:
-//! typed [`RunEvent`]s reach [`Observer`]s as runs fold (live progress,
-//! JSONL export), and a [`StopRule`] is evaluated at every
-//! run-index-ordered checkpoint, so a cell can stop as soon as its
-//! confidence interval is tight instead of burning a fixed budget.
+//! [`Scenario::run`] blocks until every cell is done and only then
+//! returns anything. A [`ScenarioSession`] is the same execution with the
+//! execution options exposed: typed [`RunEvent`]s reach [`Observer`]s as
+//! runs fold (live progress, JSONL export), and a [`StopRule`] is
+//! evaluated at every run-index-ordered checkpoint, so a cell can stop as
+//! soon as its confidence interval is tight instead of burning a fixed
+//! budget. Both are shard 0/1 of the one scenario executor in
+//! [`crate::shard`] — the session only configures it.
 //!
 //! Determinism contract: checkpoints fold in run-index order regardless
 //! of worker scheduling, and a stop decision depends only on the folded
 //! prefix — so a session's output (including where `CiHalfWidth` stops)
-//! is byte-identical across thread counts, and a [`StopRule::FixedRuns`]
-//! session is byte-identical to the batch reference
-//! ([`Scenario::run_batch_in`]).
+//! is byte-identical across thread counts, and equal to the merge of the
+//! same scenario executed as any number of shards.
 //!
 //! # Examples
 //!
@@ -35,12 +35,13 @@
 //! ```
 
 use crate::experiment::{RunCheckpoint, RunResult};
-use crate::overhead::OverheadReport;
-use crate::scenario::{CellOutcome, CellReport, Scenario, ScenarioOutcome, Workload};
+use crate::scenario::{CellOutcome, Scenario, ScenarioOutcome};
+use crate::shard::ShardRunOptions;
 use crate::warm::WarmCache;
 use bcbpt_cluster::ProtocolRegistry;
 use bcbpt_stats::StreamingSummary;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -196,9 +197,9 @@ impl StopRule {
 }
 
 /// Stateful evaluation of one [`StopRule`] over one cell's checkpoint
-/// stream, in run-index order. Both the in-process session and the
-/// cross-shard coordinator drive one of these, so a rule stops the same
-/// way wherever it runs (given the same evaluation cadence).
+/// stream, in run-index order. Both a one-shard run and the cross-shard
+/// coordinator drive one of these, so a rule stops the same way wherever
+/// it runs (given the same evaluation cadence).
 #[derive(Debug, Clone)]
 pub struct StopEval {
     rule: StopRule,
@@ -254,16 +255,15 @@ impl StopEval {
 
     /// Evaluates the rule at an in-process fold checkpoint. `started` is
     /// when the cell's campaign began (for the wall-clock budget).
-    fn observe(&mut self, checkpoint: &RunCheckpoint<'_>, started: Instant) -> bool {
+    pub(crate) fn observe(&mut self, checkpoint: &RunCheckpoint<'_>, started: Instant) -> bool {
         match self.rule {
             StopRule::WallClockMs { budget_ms } => {
                 started.elapsed().as_secs_f64() * 1_000.0 >= budget_ms
             }
-            _ => self.observe_folded(
-                checkpoint.deltas,
-                checkpoint.run_means,
-                checkpoint.measured_runs,
-            ),
+            _ => {
+                let folded = checkpoint.folded;
+                self.observe_folded(&folded.deltas, &folded.run_means, folded.measured)
+            }
         }
     }
 }
@@ -290,8 +290,8 @@ pub struct RunStats {
 impl RunStats {
     /// The stats attached to a fold checkpoint: the run's own harvest
     /// plus the pooled prefix accumulated so far. The one constructor the
-    /// session, the shard observer and checkpoint replay all share, so a
-    /// shard's event stream can never diverge from the session's.
+    /// live executor and checkpoint replay share, so a resumed stream
+    /// can never diverge from an uninterrupted one.
     pub(crate) fn folded(
         result: Option<&RunResult>,
         deltas: &bcbpt_stats::StreamingSummary,
@@ -361,7 +361,7 @@ pub enum RunEvent {
         stopped_early: bool,
     },
     /// A cell failed at run time; the sweep continues and the error is
-    /// also recorded as a [`CellReport::Failed`] in the outcome.
+    /// also recorded as a [`CellReport::Failed`](crate::CellReport::Failed) in the outcome.
     CellFailed {
         /// Cell index in sweep order.
         cell: usize,
@@ -448,8 +448,7 @@ impl Observer for ChannelObserver {
 /// [`Observer`]s. Built by [`Scenario::session`], consumed by
 /// [`block`](Self::block) / [`block_in`](Self::block_in).
 pub struct ScenarioSession<'a> {
-    scenario: &'a Scenario,
-    stop: StopRule,
+    scenario: Cow<'a, Scenario>,
     threads: usize,
     warm: Option<&'a WarmCache>,
     observers: Vec<Box<dyn Observer + 'a>>,
@@ -461,8 +460,7 @@ impl<'a> ScenarioSession<'a> {
     /// available core. Use [`Scenario::session`].
     pub(crate) fn new(scenario: &'a Scenario) -> Self {
         ScenarioSession {
-            scenario,
-            stop: scenario.stop.unwrap_or_default(),
+            scenario: Cow::Borrowed(scenario),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             warm: None,
             observers: Vec::new(),
@@ -479,10 +477,11 @@ impl<'a> ScenarioSession<'a> {
         self
     }
 
-    /// Overrides the stop rule (replacing the scenario's declared one).
+    /// Overrides the stop rule: the session runs a copy of the scenario
+    /// whose `stop` field is `stop`.
     #[must_use]
     pub fn with_stop_rule(mut self, stop: StopRule) -> Self {
-        self.stop = stop;
+        self.scenario = Cow::Owned(self.scenario.into_owned().with_stop(stop));
         self
     }
 
@@ -538,176 +537,21 @@ impl<'a> ScenarioSession<'a> {
     /// Propagates validation and configuration errors (per-cell run-time
     /// failures are recorded in the outcome, not returned).
     pub fn block_in(mut self, registry: &ProtocolRegistry) -> Result<ScenarioOutcome, String> {
-        let scenario = self.scenario;
-        scenario.validate_in(registry)?;
-        scenario.validate_stop_rule(&self.stop)?;
-        let cells = scenario.cells();
-        let mut outcomes = Vec::with_capacity(cells.len());
-        let mut failed_cells = 0usize;
-        for (cell_index, cell) in cells.into_iter().enumerate() {
-            let planned_runs = if scenario.workload.is_campaign() {
-                scenario.runs
-            } else {
-                0
-            };
-            emit(
-                &mut self.observers,
-                &RunEvent::CellStarted {
-                    cell: cell_index,
-                    label: cell.label.clone(),
-                    planned_runs,
-                },
-            );
-            let outcome = match self.run_cell(registry, cell_index, &cell) {
-                Ok((outcome, runs_used, stopped_early)) => {
-                    // The completion event carries a full copy of the cell
-                    // outcome (every per-run vector); only pay for the
-                    // clone when someone is listening.
-                    if !self.observers.is_empty() {
-                        emit(
-                            &mut self.observers,
-                            &RunEvent::CellCompleted {
-                                cell: cell_index,
-                                report: Box::new(outcome.clone()),
-                                runs_used,
-                                stopped_early,
-                            },
-                        );
-                    }
-                    outcome
-                }
-                Err(error) => {
-                    failed_cells += 1;
-                    emit(
-                        &mut self.observers,
-                        &RunEvent::CellFailed {
-                            cell: cell_index,
-                            label: cell.label.clone(),
-                            error: error.clone(),
-                        },
-                    );
-                    CellOutcome::new(
-                        cell.label,
-                        cell.protocol.to_string(),
-                        cell.num_nodes,
-                        CellReport::Failed { error },
-                    )
-                }
-            };
-            outcomes.push(outcome);
-        }
-        let outcome =
-            ScenarioOutcome::new(scenario.name.clone(), scenario.workload.clone(), outcomes);
-        emit(
-            &mut self.observers,
-            &RunEvent::ScenarioCompleted {
-                scenario: outcome.scenario.clone(),
-                cells: outcome.cells.len(),
-                failed_cells,
+        // Events carry full cell outcomes; only build them when someone
+        // is listening.
+        let observed = !self.observers.is_empty();
+        let observers = &mut self.observers;
+        let mut fan_out = |event: &RunEvent| emit(observers, event);
+        crate::shard::run_unsharded(
+            &self.scenario,
+            registry,
+            ShardRunOptions {
+                threads: Some(self.threads),
+                observe: if observed { Some(&mut fan_out) } else { None },
+                warm_cache: self.warm,
+                ..ShardRunOptions::default()
             },
-        );
-        Ok(outcome)
-    }
-
-    /// Runs one cell, streaming run events for campaign workloads.
-    /// Returns the outcome plus `(runs_used, stopped_early)`.
-    fn run_cell(
-        &mut self,
-        registry: &ProtocolRegistry,
-        cell_index: usize,
-        cell: &crate::scenario::ScenarioCell,
-    ) -> Result<(CellOutcome, usize, bool), String> {
-        let scenario = self.scenario;
-        match &scenario.workload {
-            // Plain measuring-run campaigns stream: runs fold one by one,
-            // the stop rule sees every checkpoint, and the folded
-            // accumulators seed the outcome's stats cache.
-            Workload::TxFlood | Workload::ChurnBurst { .. } | Workload::OverheadProbe => {
-                let cfg = scenario.cell_config(cell);
-                let planned = cfg.runs;
-                let started = Instant::now();
-                let mut stop = self.stop.evaluator();
-                let observers = &mut self.observers;
-                let mut folded = StreamingSummary::new();
-                let mut runs_used = 0usize;
-                let mut stopped = false;
-                let mut control = |checkpoint: &RunCheckpoint<'_>| -> bool {
-                    runs_used = checkpoint.run_index + 1;
-                    folded = *checkpoint.deltas;
-                    let event = match checkpoint.failure {
-                        // A panicking run folds as a structured failure —
-                        // observed like any other run, so JSONL consumers
-                        // see a gap-free run-index stream.
-                        Some(failure) => RunEvent::RunFailed {
-                            cell: cell_index,
-                            run_index: checkpoint.run_index,
-                            payload: failure.payload.clone(),
-                        },
-                        None => RunEvent::RunCompleted {
-                            cell: cell_index,
-                            run_index: checkpoint.run_index,
-                            run_stats: RunStats::folded(
-                                checkpoint.result,
-                                checkpoint.deltas,
-                                checkpoint.measured_runs,
-                            ),
-                        },
-                    };
-                    emit(observers, &event);
-                    if stop.observe(checkpoint, started) {
-                        stopped = checkpoint.run_index + 1 < planned;
-                        return true;
-                    }
-                    false
-                };
-                let campaign = cfg.run_campaign(
-                    registry,
-                    self.threads,
-                    None,
-                    self.warm,
-                    None,
-                    Some(&mut control),
-                )?;
-                if !stopped {
-                    runs_used = planned;
-                }
-                let report = match &scenario.workload {
-                    Workload::OverheadProbe => CellReport::Overhead {
-                        report: OverheadReport::from_campaign(&campaign),
-                    },
-                    _ => CellReport::Campaign { campaign },
-                };
-                let outcome = CellOutcome::with_delta_cache(
-                    cell.label.clone(),
-                    cell.protocol.to_string(),
-                    cell.num_nodes,
-                    report,
-                    folded.summary(),
-                );
-                Ok((outcome, runs_used, stopped))
-            }
-            // Single-shot and paired-campaign workloads run the batch
-            // path; the session still brackets them with cell events and
-            // passes its worker-thread count through.
-            _ => {
-                let report = scenario.run_cell_batch(registry, cell, Some(self.threads))?;
-                let runs_used = if scenario.workload.is_campaign() {
-                    scenario.runs
-                } else {
-                    0
-                };
-                Ok((
-                    CellOutcome::new(
-                        cell.label.clone(),
-                        cell.protocol.to_string(),
-                        cell.num_nodes,
-                        report,
-                    ),
-                    runs_used,
-                    false,
-                ))
-            }
-        }
+        )
     }
 }
 
@@ -722,6 +566,7 @@ fn emit(observers: &mut [Box<dyn Observer + '_>], event: &RunEvent) {
 mod tests {
     use super::*;
     use crate::experiment::ExperimentConfig;
+    use crate::scenario::{CellReport, Workload};
     use bcbpt_cluster::Protocol;
     use std::sync::{Arc, Mutex};
 
@@ -848,17 +693,12 @@ mod tests {
     }
 
     #[test]
-    fn fixed_runs_session_is_byte_identical_to_batch_reference() {
+    fn output_is_thread_count_invariant() {
         let scenario = tiny(4);
-        let batch = scenario.run_batch().unwrap();
-        for threads in [1usize, 3, 8] {
-            let session = scenario
-                .session()
-                .with_stop_rule(StopRule::FixedRuns)
-                .with_threads(threads)
-                .block()
-                .unwrap();
-            assert_eq!(session, batch, "{threads} threads diverged from batch");
+        let reference = scenario.session().with_threads(1).block().unwrap();
+        for threads in [3usize, 8] {
+            let pooled = scenario.session().with_threads(threads).block().unwrap();
+            assert_eq!(pooled, reference, "{threads} threads diverged");
         }
     }
 
@@ -1057,20 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn session_pre_populates_the_outcome_stats_cache() {
-        // The folded accumulators seed the cell cache; the cached values
-        // must be bit-identical to a from-scratch recompute.
-        let scenario = tiny(3);
-        let outcome = scenario.run().unwrap();
-        let cell = &outcome.cells[0];
-        let cached = cell.delta_summary().unwrap();
-        let recomputed = cell.campaign().unwrap().delta_summary();
-        assert_eq!(cached, recomputed);
-        let cached_ecdf = cell.delta_ecdf().unwrap();
-        assert_eq!(cached_ecdf, cell.campaign().unwrap().delta_ecdf().unwrap());
-    }
-
-    #[test]
     fn failed_cells_emit_cell_failed_events() {
         let mut registry = ProtocolRegistry::builtins();
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1105,16 +931,18 @@ mod tests {
     }
 
     #[test]
-    fn overhead_probe_streams_and_matches_batch() {
+    fn overhead_cells_expose_no_delta_statistics() {
         let mut scenario = tiny(3);
         scenario.workload = Workload::OverheadProbe;
-        let batch = scenario.run_batch().unwrap();
-        let session = scenario.session().block().unwrap();
-        assert_eq!(session, batch);
+        let outcome = scenario.run().unwrap();
+        assert!(matches!(
+            outcome.cells[0].report,
+            CellReport::Overhead { .. }
+        ));
         // Overhead cells drop the campaign, so the delta accessors stay
-        // empty — the cache must not leak folded stats into them.
-        assert!(session.cells[0].delta_summary().is_none());
-        assert!(session.cells[0].delta_ecdf().is_none());
+        // empty.
+        assert!(outcome.cells[0].delta_summary().is_none());
+        assert!(outcome.cells[0].delta_ecdf().is_none());
     }
 
     #[test]

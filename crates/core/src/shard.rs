@@ -1,5 +1,16 @@
-//! Cross-host campaign sharding: split a scenario's run range over
-//! independent processes, merge the parts back byte-identically.
+//! The scenario executor, and cross-host campaign sharding on top of it:
+//! split a scenario's run range over independent processes, merge the
+//! parts back byte-identically.
+//!
+//! There is one cell loop (`execute`) and one place a cell's shard data
+//! becomes a [`CellOutcome`] (`merge_cell_shards` and the per-mode
+//! `merge_*_cell` functions). Every way of running a scenario goes
+//! through both: [`Scenario::run`], [`Scenario::run_batch`] and
+//! [`ScenarioSession::block`](crate::ScenarioSession::block) execute plan
+//! 0/1 in this process and hand each finished cell straight to the
+//! one-part merge; [`run_shard`] executes plan `i/N` and wraps the cells
+//! in a digest-sealed [`PartialOutcome`], because its parts cross a
+//! process boundary before [`merge_shards`] sees them.
 //!
 //! The paper's headline figures are distributions over ~1000 independent
 //! replicate runs (§V.B). Runs are mutually independent replays of one
@@ -18,8 +29,8 @@
 //!    warmed state, executes only its run range, and serializes a
 //!    [`PartialOutcome`].
 //! 3. [`merge_shards`] folds the parts **in shard order** into a
-//!    [`ScenarioOutcome`] that is byte-identical to
-//!    [`Scenario::run_batch`] over the same scenario: run vectors
+//!    [`ScenarioOutcome`] that is byte-identical to the unsharded
+//!    [`Scenario::run`] of the same scenario: run vectors
 //!    concatenate in run-index order, [`MessageStats`] counters add
 //!    exactly, and the [`StreamingSummary`]/[`EcdfBuilder`] accumulator
 //!    shards merge associatively. Envelope version, scenario digest and
@@ -34,9 +45,9 @@
 //!   by run range as above — one [`CampaignSlice`] per shard.
 //! - *Paired* adversarial campaigns split the same way, twice: every
 //!   shard runs its range of the clean (inert-force) campaign **and** of
-//!   the attacked campaign off the same warmed snapshots the batch path
-//!   uses, and the merge reassembles both [`CampaignSlice`] streams into
-//!   a byte-identical `AdversaryReport`.
+//!   the attacked campaign, each off its own warmed snapshot, and the
+//!   merge reassembles both [`CampaignSlice`] streams into the
+//!   `AdversaryReport` the direct `adversarial_campaign` produces.
 //! - *Mining* cells with `runs >= 1` replicate the mining window off one
 //!   warmed snapshot (each run reseeded from `(seed, run_index)`), so
 //!   their run range splits like any campaign's.
@@ -45,11 +56,12 @@
 //!   deterministic, so all copies agree — and the merge verifies the
 //!   copies are byte-identical before keeping one.
 //!
-//! Adaptive [`StopRule`](crate::StopRule)s still cannot be evaluated by
-//! a lone shard — a stop decision depends on the folded prefix of *all*
-//! runs. Plain sharded execution therefore **rejects** them (consume the
-//! full budget, exactly the [`Scenario::run_batch`] semantics), but a
-//! fleet may attach a [`StopCoordinator`](crate::coordinate) via
+//! An adaptive [`StopRule`](crate::StopRule) depends on the folded prefix
+//! of *all* runs. Shard 0/1 sees them all and drives the rule itself at
+//! every fold (recording the stop in the slice's `runs_used`/`stop_at`);
+//! one shard of several cannot, so plain sharded execution **rejects**
+//! the scenario — but a fleet may attach a
+//! [`StopCoordinator`](crate::coordinate) via
 //! [`ShardRunOptions::coordinator`]: shards submit digest-sealed folded
 //! prefixes at deterministic run-index boundaries, the coordinator
 //! evaluates the rule at global checkpoints, and every shard truncates to
@@ -71,7 +83,7 @@
 //!     run_shard(&scenario, ShardSpec::new(1, 2)?)?,
 //! ];
 //! let merged = merge_shards(parts)?;
-//! assert_eq!(merged, scenario.run_batch()?);
+//! assert_eq!(merged, scenario.run()?);
 //! # Ok::<(), String>(())
 //! ```
 
@@ -79,14 +91,14 @@ use crate::adversary::{assemble_report, WarmInfiltration};
 use crate::coordinate::{
     is_shard_boundary, PrefixEnvelope, StopCoordinator, StopDecision, COORD_FORMAT_VERSION,
 };
-use crate::experiment::{CampaignResult, ExperimentConfig, RunCheckpoint, RunResult};
+use crate::experiment::{CampaignResult, ExperimentConfig, FoldedPrefix, RunCheckpoint, RunResult};
 use crate::forks::{fork_report_from_runs, mine_range, mining_warm, ForkRun};
 use crate::overhead::OverheadReport;
 use crate::resilience::{
     CellProgress, Checkpoint, PrefixTraffic, QuarantinedPart, RepairPlan, RunFailure, SalvageReport,
 };
 use crate::scenario::{CellOutcome, CellReport, Scenario, ScenarioCell, ScenarioOutcome, Workload};
-use crate::session::{RunEvent, RunStats};
+use crate::session::{RunEvent, RunStats, StopRule};
 use crate::warm::WarmCache;
 use bcbpt_adversary::AdversaryForce;
 use bcbpt_cluster::ProtocolRegistry;
@@ -95,6 +107,7 @@ use bcbpt_stats::{EcdfBuilder, StreamingSummary};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Version of the shard wire format ([`WarmSnapshot`], [`PartialOutcome`]
 /// and [`Checkpoint`] envelopes). Bumped whenever their serialized shape
@@ -394,8 +407,8 @@ pub enum CellShard {
     /// A paired adversarial campaign cell's run-range slices: every shard
     /// runs its range of *both* campaigns (clean baseline under an inert
     /// force, attacked under the real one) off the same warmed snapshots
-    /// the batch path uses, plus the warm-time infiltration measurements
-    /// (identical on every shard — the merge checks).
+    /// `adversarial_campaign` uses, plus the warm-time infiltration
+    /// measurements (identical on every shard — the merge checks).
     Paired {
         /// The clean (inert-force) campaign's slice.
         clean: CampaignSlice,
@@ -428,7 +441,7 @@ pub enum CellShard {
         report: CellReport,
     },
     /// The cell failed at run time on this shard; the merge surfaces the
-    /// error as a [`CellReport::Failed`], matching `run_batch`.
+    /// error as a [`CellReport::Failed`].
     Failed {
         /// The run-time error.
         error: String,
@@ -629,13 +642,11 @@ pub struct ShardRunOptions<'a> {
     /// Receives every sealed [`Checkpoint`]; `None` disables
     /// checkpointing.
     pub sink: Option<&'a mut CheckpointSink<'a>>,
-    /// Receives the shard run's live [`RunEvent`] stream. For a one-shard
-    /// plan the serialized stream is byte-identical to a
-    /// [`ScenarioSession`](crate::ScenarioSession) observer's (the
-    /// service's live-streaming contract); on a resumed run it emits the
-    /// *continuation* only — replay the persisted prefix first with
-    /// [`checkpoint_replay_events`]. Shards with `index > 0` skip
-    /// deferred cells, so their streams cover only the cells they ran.
+    /// Receives the run's live [`RunEvent`] stream — for plan 0/1, what a
+    /// [`ScenarioSession`](crate::ScenarioSession) observer sees (it is
+    /// this hook). On a resumed run it emits the *continuation* only —
+    /// replay the persisted prefix first with
+    /// [`checkpoint_replay_events`].
     pub observe: Option<&'a mut ShardObserver<'a>>,
     /// Warms campaign cells through this cache (see
     /// [`WarmCache`](crate::WarmCache)): sweep cells sharing a warm
@@ -646,9 +657,9 @@ pub struct ShardRunOptions<'a> {
     /// [`crate::coordinate`]): the shard submits sealed folded-prefix
     /// envelopes at its cadence boundaries, blocks on the per-cell stop
     /// decision at each cell's end, and truncates its slice to the
-    /// broadcast stop index. Required to shard a scenario whose stop rule
-    /// is adaptive; must speak for the same scenario digest and shard
-    /// count this run was launched with.
+    /// broadcast stop index. Required to run a scenario whose stop rule
+    /// is adaptive as more than one shard; must speak for the same
+    /// scenario digest and shard count this run was launched with.
     pub coordinator: Option<&'a dyn StopCoordinator>,
 }
 
@@ -666,8 +677,8 @@ impl Default for ShardRunOptions<'_> {
     }
 }
 
-/// How a cell's shard run failed: recorded errors ride along in the part
-/// (matching `run_batch` semantics), fatal ones abort the whole shard.
+/// How a cell's shard run failed: recorded errors ride along in the cell's
+/// place, fatal ones abort the whole run.
 enum CellError {
     /// The cell failed at run time — recorded as [`CellShard::Failed`].
     Recorded(String),
@@ -682,10 +693,10 @@ enum CellError {
 ///
 /// # Errors
 ///
-/// Propagates validation errors, and rejects scenarios that declare an
-/// adaptive stop rule (a shard cannot evaluate a whole-campaign stop
-/// decision); per-cell run-time failures are recorded in the part, not
-/// returned.
+/// Propagates validation errors, and rejects running a scenario that
+/// declares an adaptive stop rule as one shard of several (it cannot
+/// evaluate a whole-campaign stop decision); per-cell run-time failures
+/// are recorded in the part, not returned.
 pub fn run_shard(scenario: &Scenario, spec: ShardSpec) -> Result<PartialOutcome, String> {
     run_shard_in(
         scenario,
@@ -736,20 +747,71 @@ pub fn run_shard_with(
     registry: &ProtocolRegistry,
     options: ShardRunOptions<'_>,
 ) -> Result<PartialOutcome, String> {
+    let (plan, digest, cells, _) = execute(scenario, spec, registry, options, false)?;
+    let mut part = PartialOutcome {
+        version: SHARD_FORMAT_VERSION,
+        scenario: scenario.name.clone(),
+        scenario_digest: digest,
+        workload: scenario.workload.clone(),
+        scenario_runs: scenario.runs,
+        plan,
+        cells,
+        digest: 0,
+    };
+    part.seal();
+    Ok(part)
+}
+
+/// Runs `scenario` whole in this process: plan 0/1 through the executor,
+/// each finished cell handed straight to the per-cell merge. What
+/// [`Scenario::run`], [`Scenario::run_batch`] and
+/// [`ScenarioSession::block`](crate::ScenarioSession::block) call. No
+/// [`PartialOutcome`] is built and nothing is sealed — the envelope and its
+/// digests exist to detect corruption across a process boundary, and there
+/// is none here.
+pub(crate) fn run_unsharded(
+    scenario: &Scenario,
+    registry: &ProtocolRegistry,
+    options: ShardRunOptions<'_>,
+) -> Result<ScenarioOutcome, String> {
+    let whole = ShardSpec { index: 0, count: 1 };
+    let (_, _, _, cells) = execute(scenario, whole, registry, options, true)?;
+    Ok(ScenarioOutcome::new(
+        scenario.name.clone(),
+        scenario.workload.clone(),
+        cells,
+    ))
+}
+
+/// The one scenario executor: validates, plans `spec`'s run range, and runs
+/// every cell of the sweep through its workload's shard mode, streaming
+/// [`RunEvent`]s, checkpointing and coordinating as `options` ask. Returns
+/// the plan, the scenario's shard digest and what it kept of each cell:
+/// the wire parts a shard process seals into its [`PartialOutcome`], or
+/// (`in_process`) each cell's one-part merge instead.
+fn execute(
+    scenario: &Scenario,
+    spec: ShardSpec,
+    registry: &ProtocolRegistry,
+    options: ShardRunOptions<'_>,
+    in_process: bool,
+) -> Result<(ShardPlan, u64, Vec<PartialCell>, Vec<CellOutcome>), String> {
     scenario.validate_in(registry)?;
     let mode = shard_mode(scenario);
     let digest = scenario_digest(scenario);
-    if let Some(stop) = &scenario.stop {
-        if stop.is_adaptive() && options.coordinator.is_none() {
+    let adaptive = scenario.stop.filter(StopRule::is_adaptive);
+    if let Some(stop) = &adaptive {
+        if spec.count > 1 && options.coordinator.is_none() {
             return Err(format!(
-                "scenario {:?} declares the adaptive stop rule {} — a lone shard cannot stop \
+                "scenario {:?} declares the adaptive stop rule {} — one shard of {} cannot stop \
                  adaptively, because a stop decision depends on the folded prefix of all runs \
                  and a shard only ever sees its own range; run every shard with \
-                 --coordinate <addr> so a coordinator evaluates the rule across the fleet, or \
-                 remove the \"stop\" field (or set it to \"FixedRuns\") to consume the full \
-                 budget",
+                 --coordinate <addr> so a coordinator evaluates the rule across the fleet, run \
+                 the scenario as a single shard (0/1), or remove the \"stop\" field (or set it \
+                 to \"FixedRuns\") to consume the full budget",
                 scenario.name,
-                stop.label()
+                stop.label(),
+                spec.count
             ));
         }
     }
@@ -794,6 +856,9 @@ pub fn run_shard_with(
             Some((coordinator, config.cadence))
         }
     };
+    // Shard 0/1 sees every run, so without a coordinator it evaluates the
+    // rule itself, at every fold.
+    let local_stop = adaptive.filter(|_| coordination.is_none());
     let plan = ShardPlan::for_shard(scenario.runs, spec)?;
     let threads = options
         .threads
@@ -804,18 +869,12 @@ pub fn run_shard_with(
         None => (Vec::new(), None),
         Some(checkpoint) => validate_resume(checkpoint, scenario, digest, plan, &all_cells, mode)?,
     };
-    let restored = cells.len();
+    let mut outcomes = Vec::new();
+    let first_cell = cells.len();
     let mut sink = options.sink;
     let mut observer = options.observe;
-    let planned_runs = if scenario.workload.is_campaign() {
-        scenario.runs
-    } else {
-        0
-    };
-    for (cell_index, cell) in all_cells.into_iter().enumerate() {
-        if cell_index < restored {
-            continue; // completed before the checkpoint; restored verbatim
-        }
+    let planned_runs = planned_runs(scenario);
+    for (cell_index, cell) in all_cells.into_iter().enumerate().skip(first_cell) {
         let resume_cell = if current.as_ref().is_some_and(|p| p.cell_index == cell_index) {
             current.take()
         } else {
@@ -834,10 +893,11 @@ pub fn run_shard_with(
                 });
             }
         }
-        // Like `run_batch`, a cell that fails at run time does not abort
-        // the shard: the error rides along and the merge surfaces it. A
-        // coordinated shard additionally abandons the cell so peers
-        // blocked on its envelopes fail fast instead of hanging.
+        // A cell that fails at run time does not abort the sweep: the
+        // error is recorded in its place and surfaced by the renderers, so
+        // one bad cell cannot silently NaN a whole table. A coordinated
+        // shard additionally abandons the cell so peers blocked on its
+        // envelopes fail fast instead of hanging.
         let ran = match mode {
             ShardMode::Streaming => run_cell_shard(
                 scenario,
@@ -854,15 +914,14 @@ pub fn run_shard_with(
                 digest,
                 &cells,
                 coordination,
+                local_stop,
             ),
             ShardMode::Paired => run_paired_cell_shard(scenario, registry, threads, &cell, plan),
             ShardMode::MiningRange => run_mining_cell_shard(scenario, registry, &cell, plan),
-            ShardMode::Replicated => {
-                match scenario.run_cell_batch(registry, &cell, Some(threads)) {
-                    Ok(report) => Ok(CellShard::Replicated { report }),
-                    Err(error) => Err(CellError::Recorded(error)),
-                }
-            }
+            ShardMode::Replicated => scenario
+                .run_single_shot_cell(registry, &cell)
+                .map(|report| CellShard::Replicated { report })
+                .map_err(CellError::Recorded),
         };
         let part = match ran {
             Ok(part) => part,
@@ -881,178 +940,153 @@ pub fn run_shard_with(
                 return Err(error);
             }
         };
-        if let Some(observer) = observer.as_mut() {
-            match &part {
-                CellShard::Failed { error } => observer(&RunEvent::CellFailed {
-                    cell: cell_index,
-                    label: cell.label.clone(),
-                    error: error.clone(),
-                }),
-                // The completion event carries a full reconstruction of
-                // the cell outcome; only pay for it when someone listens.
-                _ => {
-                    if let Some(outcome) = shard_cell_outcome(
-                        cell.label.clone(),
-                        cell.protocol.to_string(),
-                        cell.num_nodes,
-                        &scenario.workload,
-                        &part,
-                    ) {
-                        let stopped_early = matches!(
-                            &part,
-                            CellShard::Campaign { slice } if slice.stop_at.is_some()
-                        );
-                        observer(&RunEvent::CellCompleted {
-                            cell: cell_index,
-                            report: Box::new(outcome),
-                            runs_used: planned_runs,
-                            stopped_early,
-                        });
-                    }
-                }
+        let (label, protocol) = (cell.label, cell.protocol.to_string());
+        if in_process {
+            // Straight to the per-cell merge: the outcome is both what the
+            // run keeps and what the closing event carries.
+            let (runs_used, stopped_early) = cell_usage(&part, planned_runs);
+            let outcome = merge_cell_shards(
+                vec![(plan, part)],
+                &scenario.workload,
+                label,
+                protocol,
+                cell.num_nodes,
+            )?;
+            if let Some(observer) = observer.as_mut() {
+                observer(&closing_event(
+                    cell_index,
+                    outcome.clone(),
+                    runs_used,
+                    stopped_early,
+                ));
             }
+            outcomes.push(outcome);
+            continue;
         }
-        cells.push(PartialCell {
-            label: cell.label,
-            protocol: cell.protocol.to_string(),
+        let done = PartialCell {
+            label,
+            protocol,
             num_nodes: cell.num_nodes,
             part,
-        });
+        };
+        // The closing event carries the cell outcome this part implies (its
+        // one-part merge); only pay for it when someone listens.
+        if let Some(observer) = observer.as_mut() {
+            observer(&part_closing_event(
+                cell_index,
+                plan,
+                &done,
+                &scenario.workload,
+                planned_runs,
+            )?);
+        }
+        cells.push(done);
         // Cell-boundary checkpoint: a crash between cells costs nothing.
         if let Some(sink) = sink.as_mut() {
-            let mut boundary = Checkpoint {
-                version: SHARD_FORMAT_VERSION,
-                scenario: scenario.name.clone(),
-                scenario_digest: digest,
-                scenario_runs: scenario.runs,
-                plan,
-                cells_done: cells.clone(),
-                current: None,
-                digest: 0,
-            };
-            boundary.seal();
-            let _span = bcbpt_obs::span("checkpoint");
-            let _timer = crate::obs::checkpoint_write_seconds().start_timer();
-            sink(&boundary).map_err(|e| format!("checkpoint write failed: {e}"))?;
+            write_checkpoint(sink, scenario, digest, plan, cells.clone(), None)
+                .map_err(|e| format!("checkpoint write failed: {e}"))?;
         }
     }
     if let Some(observer) = observer.as_mut() {
-        let failed_cells = cells
+        let failed_parts = cells
             .iter()
-            .filter(|c| matches!(c.part, CellShard::Failed { .. }))
-            .count();
+            .filter(|c| matches!(c.part, CellShard::Failed { .. }));
+        let failed_outcomes = outcomes.iter().filter(|o| o.error().is_some());
         observer(&RunEvent::ScenarioCompleted {
             scenario: scenario.name.clone(),
-            cells: cells.len(),
-            failed_cells,
+            cells: cells.len() + outcomes.len(),
+            failed_cells: failed_parts.count() + failed_outcomes.count(),
         });
     }
-    let mut part = PartialOutcome {
+    Ok((plan, digest, cells, outcomes))
+}
+
+/// Seals one [`Checkpoint`] of this shard run and hands it to `sink`.
+fn write_checkpoint(
+    sink: &mut CheckpointSink<'_>,
+    scenario: &Scenario,
+    scenario_digest: u64,
+    plan: ShardPlan,
+    cells_done: Vec<PartialCell>,
+    current: Option<CellProgress>,
+) -> Result<(), String> {
+    let mut checkpoint = Checkpoint {
         version: SHARD_FORMAT_VERSION,
         scenario: scenario.name.clone(),
-        scenario_digest: digest,
-        workload: scenario.workload.clone(),
+        scenario_digest,
         scenario_runs: scenario.runs,
         plan,
-        cells,
+        cells_done,
+        current,
         digest: 0,
     };
-    part.seal();
-    Ok(part)
+    checkpoint.seal();
+    let _span = bcbpt_obs::span("checkpoint");
+    let _timer = crate::obs::checkpoint_write_seconds().start_timer();
+    sink(&checkpoint)
 }
 
-/// Reconstructs the completed [`CellOutcome`] one shard's [`CellShard`]
-/// implies — the single-part form of the arithmetic
-/// [`merge_campaign_cell`] performs across parts (warmup + window
-/// traffic, environment from the snapshot, report shape from the
-/// workload). `None` for deferred cells and recorded failures.
-fn shard_cell_outcome(
-    label: String,
-    protocol: String,
-    num_nodes: usize,
-    workload: &Workload,
-    part: &CellShard,
-) -> Option<CellOutcome> {
+/// The `planned_runs` every cell event of `scenario` reports: the `runs`
+/// budget of a measuring-run campaign, 0 for mining and single-shot cells.
+fn planned_runs(scenario: &Scenario) -> usize {
+    if scenario.workload.is_campaign() {
+        scenario.runs
+    } else {
+        0
+    }
+}
+
+/// What a finished cell's closing event says about its budget, read off
+/// the part before the merge consumes it: the run indices it kept — the
+/// slice's `runs_used` for a streaming cell (so a stopped cell reports the
+/// prefix it kept), the planned budget for every other mode — and whether
+/// a stop rule, coordinated or local, cut it short.
+fn cell_usage(part: &CellShard, planned_runs: usize) -> (usize, bool) {
     match part {
-        CellShard::Campaign { slice } => {
-            let campaign = campaign_from_slice(slice);
-            let report = match workload {
-                Workload::OverheadProbe => CellReport::Overhead {
-                    report: OverheadReport::from_campaign(&campaign),
-                },
-                _ => CellReport::Campaign { campaign },
-            };
-            Some(CellOutcome::new(label, protocol, num_nodes, report))
-        }
-        CellShard::Paired {
-            clean,
-            attacked,
-            infiltration,
-            clean_infiltration,
-        } => {
-            let Workload::Adversarial {
-                strategy,
-                attackers,
-            } = workload
-            else {
-                return None;
-            };
-            let report = assemble_report(
-                attacked.snapshot.protocol.clone(),
-                strategy.label(),
-                *attackers,
-                *infiltration,
-                *clean_infiltration,
-                &campaign_from_slice(clean),
-                campaign_from_slice(attacked),
-            );
-            Some(CellOutcome::new(
-                label,
-                protocol,
-                num_nodes,
-                CellReport::Adversary { report },
-            ))
-        }
-        CellShard::Mining {
-            snapshot,
-            relay,
-            runs,
-            ..
-        } => {
-            let mut total = snapshot.warmup_traffic.clone();
-            for run in runs {
-                total.merge(&run.window_traffic);
-            }
-            let report =
-                fork_report_from_runs(snapshot.protocol.clone(), relay.clone(), runs, &total);
-            Some(CellOutcome::new(
-                label,
-                protocol,
-                num_nodes,
-                CellReport::Forks { report },
-            ))
-        }
-        CellShard::Replicated { report } => {
-            Some(CellOutcome::new(label, protocol, num_nodes, report.clone()))
-        }
-        CellShard::Failed { .. } => None,
+        CellShard::Campaign { slice } => (slice.runs_used, slice.stop_at.is_some()),
+        _ => (planned_runs, false),
     }
 }
 
-/// Reconstructs the [`CampaignResult`] one slice implies: total traffic
-/// is warmup plus the kept window, environment comes from the snapshot.
-fn campaign_from_slice(slice: &CampaignSlice) -> CampaignResult {
-    let mut traffic = slice.snapshot.warmup_traffic.clone();
-    traffic.merge(&slice.window_traffic);
-    CampaignResult {
-        protocol: slice.snapshot.protocol.clone(),
-        runs: slice.runs.clone(),
-        traffic,
-        warmup_traffic: slice.snapshot.warmup_traffic.clone(),
-        cluster_sizes: slice.snapshot.cluster_sizes.clone(),
-        num_nodes: slice.snapshot.num_nodes,
-        failures: slice.failures.clone(),
+/// The event closing the cell whose merged outcome is `outcome`.
+fn closing_event(
+    cell: usize,
+    outcome: CellOutcome,
+    runs_used: usize,
+    stopped_early: bool,
+) -> RunEvent {
+    match outcome.error() {
+        Some(error) => RunEvent::CellFailed {
+            cell,
+            label: outcome.label.clone(),
+            error: error.to_string(),
+        },
+        None => RunEvent::CellCompleted {
+            cell,
+            report: Box::new(outcome),
+            runs_used,
+            stopped_early,
+        },
     }
+}
+
+/// [`closing_event`] of one kept wire part, through its one-part merge.
+fn part_closing_event(
+    cell: usize,
+    plan: ShardPlan,
+    done: &PartialCell,
+    workload: &Workload,
+    planned_runs: usize,
+) -> Result<RunEvent, String> {
+    let (runs_used, stopped_early) = cell_usage(&done.part, planned_runs);
+    let outcome = merge_cell_shards(
+        vec![(plan, done.part.clone())],
+        workload,
+        done.label.clone(),
+        done.protocol.clone(),
+        done.num_nodes,
+    )?;
+    Ok(closing_event(cell, outcome, runs_used, stopped_early))
 }
 
 /// Reconstructs the [`RunEvent`] prefix a resumed shard run does *not*
@@ -1078,11 +1112,7 @@ pub fn checkpoint_replay_events(
     let mode = shard_mode(scenario);
     let (cells_done, current) =
         validate_resume(checkpoint.clone(), scenario, digest, plan, &all_cells, mode)?;
-    let planned_runs = if scenario.workload.is_campaign() {
-        scenario.runs
-    } else {
-        0
-    };
+    let planned_runs = planned_runs(scenario);
     let mut events = Vec::new();
     for (cell_index, done) in cells_done.iter().enumerate() {
         events.push(RunEvent::CellStarted {
@@ -1090,47 +1120,24 @@ pub fn checkpoint_replay_events(
             label: done.label.clone(),
             planned_runs,
         });
-        match &done.part {
-            CellShard::Campaign { slice } => {
-                // A coordinated stop truncated the kept range; the replay
-                // covers only what the part kept.
-                let end = slice
-                    .stop_at
-                    .map_or(plan.run_end, |s| plan.run_end.min(s.max(plan.run_start)));
-                replay_run_events(
-                    &mut events,
-                    cell_index,
-                    plan.run_start..end,
-                    &slice.runs,
-                    &slice.failures,
-                );
-            }
-            CellShard::Failed { error } => {
-                events.push(RunEvent::CellFailed {
-                    cell: cell_index,
-                    label: done.label.clone(),
-                    error: error.clone(),
-                });
-                continue;
-            }
-            // Paired, mining and replicated cells stream no per-run
-            // events — like the session, they bracket with cell events.
-            CellShard::Paired { .. } | CellShard::Mining { .. } | CellShard::Replicated { .. } => {}
+        // Only streaming cells stream per-run events; a stop truncated
+        // the kept range, and the replay covers only what the part kept.
+        if let CellShard::Campaign { slice } = &done.part {
+            replay_run_events(
+                &mut events,
+                cell_index,
+                plan.run_start..plan.run_start + slice.runs_used,
+                &slice.runs,
+                &slice.failures,
+            );
         }
-        if let Some(outcome) = shard_cell_outcome(
-            done.label.clone(),
-            done.protocol.clone(),
-            done.num_nodes,
+        events.push(part_closing_event(
+            cell_index,
+            plan,
+            done,
             &scenario.workload,
-            &done.part,
-        ) {
-            events.push(RunEvent::CellCompleted {
-                cell: cell_index,
-                report: Box::new(outcome),
-                runs_used: planned_runs,
-                stopped_early: false,
-            });
-        }
+            planned_runs,
+        )?);
     }
     if let Some(progress) = &current {
         let label = all_cells
@@ -1153,11 +1160,74 @@ pub fn checkpoint_replay_events(
     Ok(events)
 }
 
+/// The event one folded run index emits: `RunFailed` for a panicking run,
+/// else `RunCompleted` with the pooled prefix statistics (`result: None` =
+/// the run was skipped). Shared by the live fold and checkpoint replay.
+fn run_event(
+    cell: usize,
+    run_index: usize,
+    result: Option<&RunResult>,
+    failure: Option<&RunFailure>,
+    folded: &FoldedPrefix,
+) -> RunEvent {
+    match failure {
+        // A panicking run folds as a structured failure — observed like
+        // any other run, so JSONL consumers see a gap-free run-index
+        // stream.
+        Some(failure) => RunEvent::RunFailed {
+            cell,
+            run_index,
+            payload: failure.payload.clone(),
+        },
+        None => RunEvent::RunCompleted {
+            cell,
+            run_index,
+            run_stats: RunStats::folded(result, &folded.deltas, folded.measured),
+        },
+    }
+}
+
+/// Walks one cell's persisted run stream over a run-index range, refolding
+/// the pooled accumulators in run-index order — the same fold the live
+/// campaign performed, so `folded` after each step is bit-identical to
+/// what the [`RunCheckpoint`] of that index carried. Indices absent from
+/// both `runs` and `failures` are skipped runs, exactly as the live fold
+/// saw them.
+struct PrefixWalk<'a> {
+    range: Range<usize>,
+    runs: std::iter::Peekable<std::slice::Iter<'a, RunResult>>,
+    failures: std::iter::Peekable<std::slice::Iter<'a, RunFailure>>,
+    /// The pooled accumulators over every index stepped so far.
+    folded: FoldedPrefix,
+}
+
+impl<'a> PrefixWalk<'a> {
+    fn new(range: Range<usize>, runs: &'a [RunResult], failures: &'a [RunFailure]) -> Self {
+        PrefixWalk {
+            range,
+            runs: runs.iter().peekable(),
+            failures: failures.iter().peekable(),
+            folded: FoldedPrefix::new(),
+        }
+    }
+
+    /// Folds the next run index and returns it with its retired form.
+    fn step(&mut self) -> Option<(usize, Option<&'a RunResult>, Option<&'a RunFailure>)> {
+        let run_index = self.range.next()?;
+        let failure = self.failures.next_if(|f| f.run_index == run_index);
+        let result = match failure {
+            Some(_) => None,
+            None => self.runs.next_if(|r| r.run_index == run_index),
+        };
+        if let Some(result) = result {
+            self.folded.fold(result);
+        }
+        Some((run_index, result, failure))
+    }
+}
+
 /// Replays the per-run events of one cell's persisted run stream over
-/// `range`: folds the pooled-delta accumulator in run-index order (the
-/// same fold the live campaign performed, so the emitted [`RunStats`] are
-/// bit-identical), with indices absent from both `runs` and `failures`
-/// reported as skipped runs — exactly what the live stream emitted.
+/// `range` — exactly what the live stream emitted.
 fn replay_run_events(
     events: &mut Vec<RunEvent>,
     cell: usize,
@@ -1165,37 +1235,9 @@ fn replay_run_events(
     runs: &[RunResult],
     failures: &[RunFailure],
 ) {
-    let mut deltas = StreamingSummary::new();
-    let mut measured = 0usize;
-    let mut run_iter = runs.iter().peekable();
-    let mut failure_iter = failures.iter().peekable();
-    for run_index in range {
-        if failure_iter
-            .peek()
-            .is_some_and(|f| f.run_index == run_index)
-        {
-            let failure = failure_iter.next().expect("just peeked");
-            events.push(RunEvent::RunFailed {
-                cell,
-                run_index,
-                payload: failure.payload.clone(),
-            });
-            continue;
-        }
-        let result = if run_iter.peek().is_some_and(|r| r.run_index == run_index) {
-            run_iter.next()
-        } else {
-            None
-        };
-        if let Some(result) = result {
-            deltas.extend(result.deltas_ms.iter().copied());
-            measured += 1;
-        }
-        events.push(RunEvent::RunCompleted {
-            cell,
-            run_index,
-            run_stats: RunStats::folded(result, &deltas, measured),
-        });
+    let mut walk = PrefixWalk::new(range, runs, failures);
+    while let Some((run_index, result, failure)) = walk.step() {
+        events.push(run_event(cell, run_index, result, failure, &walk.folded));
     }
 }
 
@@ -1369,6 +1411,10 @@ fn fold_accumulators(runs: &[RunResult]) -> (StreamingSummary, StreamingSummary,
 /// behind it, and blocks on the per-cell decision before finalizing —
 /// the returned slice is then the strict prefix `run_start..stop_at` of
 /// what an uncoordinated shard would have produced.
+///
+/// With `local_stop` (plan 0/1, no coordinator) the shard sees every run,
+/// so it drives the rule itself at every fold and records where it fired
+/// in the slice's `runs_used` / `stop_at`, like a coordinated decision.
 #[allow(clippy::too_many_arguments)]
 fn run_cell_shard(
     scenario: &Scenario,
@@ -1385,95 +1431,100 @@ fn run_cell_shard(
     scenario_digest: u64,
     cells_done: &[PartialCell],
     coordination: Option<(&dyn StopCoordinator, usize)>,
+    local_stop: Option<StopRule>,
 ) -> Result<CellShard, CellError> {
+    // The wall-clock budget of `StopRule::WallClockMs` covers the cell's
+    // warmup too.
+    let started = Instant::now();
     let cfg = scenario.cell_config(cell);
-    let (
-        prefix_runs,
-        prefix_failures,
-        prefix_window,
-        prefix_boundaries,
-        resumed_snapshot,
-        start_run,
-    ) = match resume {
-        Some(progress) => (
-            progress.runs,
-            progress.failures,
-            progress.window_traffic,
-            progress.boundary_traffic,
-            Some(progress.snapshot),
-            progress.next_run,
-        ),
-        None => (
-            Vec::new(),
-            Vec::new(),
-            MessageStats::new(),
-            Vec::new(),
-            None,
-            plan.run_start,
-        ),
+    let start_run = resume.as_ref().map_or(plan.run_start, |p| p.next_run);
+    let (resumed_snapshot, prefix_runs, prefix_failures, prefix_window, mut boundary_traffic) =
+        match resume {
+            Some(p) => (
+                Some(p.snapshot),
+                p.runs,
+                p.failures,
+                p.window_traffic,
+                p.boundary_traffic,
+            ),
+            None => Default::default(),
+        };
+    let envelope_at = |upto: usize, folded: &FoldedPrefix| {
+        let mut envelope = PrefixEnvelope {
+            version: COORD_FORMAT_VERSION,
+            scenario_digest,
+            cell_index,
+            shard_index: plan.shard_index,
+            shard_count: plan.shard_count,
+            upto,
+            deltas: folded.deltas,
+            run_means: folded.run_means,
+            measured_runs: folded.measured,
+            digest: 0,
+        };
+        envelope.seal();
+        envelope
     };
     // Coordinated stopping: the decision may already exist (a restarted
     // coordinator presets restored decisions; a resumed shard rejoins
-    // late), and a resumed shard must resubmit the envelopes it already
-    // crossed — refolded from its persisted prefix, bit-identical to the
-    // originals, so resubmission is idempotent.
+    // late).
     let mut known_decision: Option<StopDecision> = None;
-    let mut boundary_traffic: Vec<PrefixTraffic> = prefix_boundaries;
-    if let Some((coordinator, cadence)) = coordination {
+    if let Some((coordinator, _)) = coordination {
         known_decision = coordinator
             .decision(cell_index)
             .map_err(|e| CellError::Recorded(format!("coordinator: {e}")))?;
-        for upto in (plan.run_start + 1)..=start_run {
-            if !is_shard_boundary(plan.run_start, plan.run_end, cadence, upto) {
-                continue;
+    }
+    // Refold the resumed prefix once, in run-index order: the result seeds
+    // the campaign fold (so every later checkpoint carries whole-prefix
+    // statistics for the observer, the coordinator envelope and the local
+    // rule alike), and along the way a resumed shard resubmits the
+    // envelopes it already crossed — bit-identical to the originals, so
+    // resubmission is idempotent — and re-primes the stateful local
+    // evaluator with exactly the checkpoints the interrupted run showed it.
+    let mut local_eval = local_stop.map(|rule| rule.evaluator());
+    let mut local_stop_at: Option<usize> = None;
+    let mut walk = PrefixWalk::new(plan.run_start..start_run, &prefix_runs, &prefix_failures);
+    while let Some((run_index, _, _)) = walk.step() {
+        let upto = run_index + 1;
+        if let Some(eval) = local_eval.as_mut() {
+            let folded = &walk.folded;
+            if local_stop_at.is_none()
+                && eval.observe_folded(&folded.deltas, &folded.run_means, folded.measured)
+            {
+                local_stop_at = Some(upto);
             }
-            if !boundary_traffic.iter().any(|b| b.upto == upto) {
-                return Err(CellError::Fatal(format!(
-                    "cell {:?}: the resume checkpoint carries no frozen window traffic for \
-                     coordinator boundary {upto} — it was written without --coordinate (or \
-                     at a different cadence); delete it and re-run the shard without --resume",
-                    cell.label
-                )));
-            }
-            let mut deltas = StreamingSummary::new();
-            let mut run_means = StreamingSummary::new();
-            let mut measured = 0usize;
-            for run in prefix_runs.iter().filter(|r| r.run_index < upto) {
-                deltas.extend(run.deltas_ms.iter().copied());
-                if let Some(mean) = crate::experiment::run_mean_delta(run) {
-                    run_means.record(mean);
-                }
-                measured += 1;
-            }
-            let mut envelope = PrefixEnvelope {
-                version: COORD_FORMAT_VERSION,
-                scenario_digest,
-                cell_index,
-                shard_index: plan.shard_index,
-                shard_count: plan.shard_count,
-                upto,
-                deltas,
-                run_means,
-                measured_runs: measured,
-                digest: 0,
-            };
-            envelope.seal();
-            match coordinator.submit(envelope) {
-                Ok(Some(decision)) => known_decision = Some(decision),
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(CellError::Recorded(format!("coordinator: {e}")));
-                }
+        }
+        let Some((coordinator, cadence)) = coordination else {
+            continue;
+        };
+        if !is_shard_boundary(plan.run_start, plan.run_end, cadence, upto) {
+            continue;
+        }
+        if !boundary_traffic.iter().any(|b| b.upto == upto) {
+            return Err(CellError::Fatal(format!(
+                "cell {:?}: the resume checkpoint carries no frozen window traffic for \
+                 coordinator boundary {upto} — it was written without --coordinate (or \
+                 at a different cadence); delete it and re-run the shard without --resume",
+                cell.label
+            )));
+        }
+        match coordinator.submit(envelope_at(upto, &walk.folded)) {
+            Ok(Some(decision)) => known_decision = Some(decision),
+            Ok(None) => {}
+            Err(e) => {
+                return Err(CellError::Recorded(format!("coordinator: {e}")));
             }
         }
     }
-    // A decision known before any new run clamps the planned range — runs
-    // past the stop index would be executed only to be truncated.
-    let planned_end = match &known_decision {
-        Some(decision) => match decision.stop_at {
-            Some(s) => plan.run_end.min(s.max(plan.run_start)),
-            None => plan.run_end,
-        },
+    let seed = walk.folded;
+    // A stop known before any new run clamps the planned range — runs past
+    // the stop index would be executed only to be truncated.
+    let stop_known = known_decision
+        .as_ref()
+        .and_then(|d| d.stop_at)
+        .or(local_stop_at);
+    let planned_end = match stop_known {
+        Some(s) => plan.run_end.min(s.max(plan.run_start)),
         None => plan.run_end,
     };
     // The warm inspection (main thread, before runs fan out) fills this
@@ -1483,72 +1534,29 @@ fn run_cell_shard(
     let mut inspect = |net: &Network| {
         *snapshot_slot.lock().expect("snapshot slot") = Some(WarmSnapshot::capture(&cfg, net));
     };
-    // The observer's pooled-prefix accumulator: seeded by refolding the
-    // resumed prefix (the fold inside `run_campaign_range` restarts empty
-    // at `start_run`, which is correct for the part but would understate
-    // the pooled stats of continuation events), then extended run by run —
-    // bit-identical to the fold an uninterrupted run performed.
-    let mut obs_deltas = StreamingSummary::new();
-    let mut obs_measured = 0usize;
-    if observer.is_some() {
-        for run in &prefix_runs {
-            obs_deltas.extend(run.deltas_ms.iter().copied());
-            obs_measured += 1;
-        }
-    }
-    // The coordinator's folded-prefix accumulators: seeded by refolding
-    // the resumed prefix, then extended run by run in fold order —
-    // bit-identical to the fold a peer (or an uninterrupted run) would
-    // compute over the same prefix, which is what makes resubmission
-    // idempotent and the stop decision arrival-order-invariant.
-    let mut coord_deltas = StreamingSummary::new();
-    let mut coord_run_means = StreamingSummary::new();
-    let mut coord_measured = 0usize;
-    if coordination.is_some() {
-        for run in &prefix_runs {
-            coord_deltas.extend(run.deltas_ms.iter().copied());
-            if let Some(mean) = crate::experiment::run_mean_delta(run) {
-                coord_run_means.record(mean);
-            }
-            coord_measured += 1;
-        }
-    }
     let mut seen_runs: Vec<RunResult> = Vec::new();
     let mut seen_failures: Vec<RunFailure> = Vec::new();
     let mut sink_error: Option<String> = None;
     let mut coord_error: Option<String> = None;
     let mut control = |checkpoint: &RunCheckpoint<'_>| {
         let mut stop = false;
+        let upto = checkpoint.run_index + 1;
         if let Some(observer) = observer.as_mut() {
-            let event = match checkpoint.failure {
-                Some(failure) => RunEvent::RunFailed {
-                    cell: cell_index,
-                    run_index: checkpoint.run_index,
-                    payload: failure.payload.clone(),
-                },
-                None => {
-                    if let Some(result) = checkpoint.result {
-                        obs_deltas.extend(result.deltas_ms.iter().copied());
-                        obs_measured += 1;
-                    }
-                    RunEvent::RunCompleted {
-                        cell: cell_index,
-                        run_index: checkpoint.run_index,
-                        run_stats: RunStats::folded(checkpoint.result, &obs_deltas, obs_measured),
-                    }
-                }
-            };
-            observer(&event);
+            observer(&run_event(
+                cell_index,
+                checkpoint.run_index,
+                checkpoint.result,
+                checkpoint.failure,
+                checkpoint.folded,
+            ));
+        }
+        if let Some(eval) = local_eval.as_mut() {
+            if eval.observe(checkpoint, started) {
+                local_stop_at = Some(upto);
+                stop = true;
+            }
         }
         if let Some((coordinator, cadence)) = coordination {
-            if let Some(result) = checkpoint.result {
-                coord_deltas.extend(result.deltas_ms.iter().copied());
-                if let Some(mean) = crate::experiment::run_mean_delta(result) {
-                    coord_run_means.record(mean);
-                }
-                coord_measured += 1;
-            }
-            let upto = checkpoint.run_index + 1;
             if is_shard_boundary(plan.run_start, plan.run_end, cadence, upto) {
                 // Freeze the window traffic at this boundary *before* any
                 // durable checkpoint of this fold, so a resumed shard can
@@ -1565,20 +1573,7 @@ fn run_cell_shard(
                     traffic: window,
                 });
                 if known_decision.is_none() {
-                    let mut envelope = PrefixEnvelope {
-                        version: COORD_FORMAT_VERSION,
-                        scenario_digest,
-                        cell_index,
-                        shard_index: plan.shard_index,
-                        shard_count: plan.shard_count,
-                        upto,
-                        deltas: coord_deltas,
-                        run_means: coord_run_means,
-                        measured_runs: coord_measured,
-                        digest: 0,
-                    };
-                    envelope.seal();
-                    match coordinator.submit(envelope) {
+                    match coordinator.submit(envelope_at(upto, checkpoint.folded)) {
                         Ok(Some(decision)) => known_decision = Some(decision),
                         Ok(None) => {}
                         Err(e) => {
@@ -1601,7 +1596,7 @@ fn run_cell_shard(
             if let Some(failure) = checkpoint.failure {
                 seen_failures.push(failure.clone());
             }
-            let folded_here = checkpoint.run_index + 1 - start_run;
+            let folded_here = upto - start_run;
             if folded_here.is_multiple_of(checkpoint_every) {
                 let snapshot_guard = snapshot_slot.lock().expect("snapshot slot");
                 let snapshot = snapshot_guard
@@ -1624,24 +1619,19 @@ fn run_cell_shard(
                     run_means,
                     ecdf,
                     boundary_traffic: boundary_traffic.clone(),
-                    next_run: checkpoint.run_index + 1,
+                    next_run: upto,
                 };
-                let mut envelope = Checkpoint {
-                    version: SHARD_FORMAT_VERSION,
-                    scenario: scenario.name.clone(),
-                    scenario_digest,
-                    scenario_runs: scenario.runs,
-                    plan,
-                    cells_done: cells_done.to_vec(),
-                    current: Some(progress),
-                    digest: 0,
-                };
-                envelope.seal();
                 drop(snapshot_guard);
                 if let Some(sink) = sink.as_mut() {
-                    let _span = bcbpt_obs::span("checkpoint");
-                    let _timer = crate::obs::checkpoint_write_seconds().start_timer();
-                    if let Err(e) = sink(&envelope) {
+                    let done = cells_done.to_vec();
+                    if let Err(e) = write_checkpoint(
+                        sink,
+                        scenario,
+                        scenario_digest,
+                        plan,
+                        done,
+                        Some(progress),
+                    ) {
                         sink_error = Some(e);
                         stop = true;
                     }
@@ -1663,6 +1653,7 @@ fn run_cell_shard(
             Some(&mut inspect),
             Some(&mut control),
             start_run..planned_end.max(start_run),
+            seed,
         )
         .map_err(CellError::Recorded)?;
     if let Some(error) = sink_error {
@@ -1694,8 +1685,10 @@ fn run_cell_shard(
     failures.extend(campaign.failures);
     let mut window_traffic = prefix_window;
     window_traffic.merge(&campaign.traffic.since(&campaign.warmup_traffic));
-    let mut runs_used = plan.len();
-    let mut stop_at = None;
+    // A local rule that fired on the last planned run consumed the whole
+    // budget: not an early stop.
+    let mut stop_at = local_stop_at.filter(|&s| s < plan.run_end);
+    let mut runs_used = stop_at.map_or(plan.len(), |s| s - plan.run_start);
     if let Some((coordinator, _)) = coordination {
         // The end-of-cell barrier: no shard finalizes a slice until the
         // cell's stop decision exists, so every part in the fleet agrees
@@ -1760,7 +1753,7 @@ fn run_cell_shard(
 /// count and RNG consumption match the attacked side exactly), once with
 /// the live attacker — execute only `plan.run_range()` on each side, and
 /// fold each side's accumulators in run-index order. The clean side runs
-/// first, matching `adversarial_campaign_in_with_threads` batch order.
+/// first, matching `adversarial_campaign_in_with_threads`' order.
 fn run_paired_cell_shard(
     scenario: &Scenario,
     registry: &ProtocolRegistry,
@@ -1795,6 +1788,7 @@ fn run_paired_cell_shard(
                 Some(&mut inspect),
                 None,
                 plan.run_range(),
+                FoldedPrefix::new(),
             )
             .map_err(CellError::Recorded)?;
         let (snapshot, infiltration) = slot
@@ -1862,6 +1856,14 @@ fn run_mining_cell_shard(
         *duration_ms,
         plan.run_range(),
     );
+    // Observability side channel only, once per cell like every other
+    // campaign: warmup plus this shard's mining windows.
+    let mut traffic = warmup_traffic;
+    for run in &runs {
+        traffic.merge(&run.window_traffic);
+    }
+    crate::obs::net_bytes_total().add(traffic.total_bytes());
+    crate::obs::net_redundant_bytes_total().add(traffic.total_redundant_bytes());
     Ok(CellShard::Mining {
         snapshot,
         relay: cfg.relay.as_ref().map(|r| r.to_string()),
@@ -1871,7 +1873,7 @@ fn run_mining_cell_shard(
 }
 
 /// Merges shard parts, **in shard order**, into the [`ScenarioOutcome`]
-/// the unsharded [`Scenario::run_batch`] would have produced —
+/// the unsharded [`Scenario::run`] would have produced —
 /// byte-identically. Consumes the parts (run vectors are moved, not
 /// cloned — at paper scale they dominate the part's size); callers that
 /// need to keep a part clone it first.
@@ -1990,20 +1992,6 @@ fn merge_cell(
             ));
         }
     }
-    // A failed cell on any shard fails the merged cell, with the
-    // lowest-shard error — deterministic runs fail identically on every
-    // shard, so this matches what `run_batch` records.
-    if let Some(error) = parts.iter().find_map(|p| match &p.cells[cell_index].part {
-        CellShard::Failed { error } => Some(error.clone()),
-        _ => None,
-    }) {
-        return Ok(CellOutcome::new(
-            label,
-            protocol,
-            num_nodes,
-            CellReport::Failed { error },
-        ));
-    }
     // Take ownership of every shard's contribution (run vectors are
     // moved, not cloned — each cell is visited exactly once).
     let shards: Vec<(ShardPlan, CellShard)> = parts
@@ -2020,6 +2008,35 @@ fn merge_cell(
             )
         })
         .collect();
+    merge_cell_shards(shards, workload, label, protocol, num_nodes)
+}
+
+/// The one place shard contributions become a [`CellOutcome`]: the
+/// per-mode merge over every shard's part of one cell, in shard order.
+/// [`merge_shards`] calls it with one part per shard process; an
+/// in-process run and every `CellCompleted` event call it with the single
+/// part of the plan at hand.
+fn merge_cell_shards(
+    shards: Vec<(ShardPlan, CellShard)>,
+    workload: &Workload,
+    label: String,
+    protocol: String,
+    num_nodes: usize,
+) -> Result<CellOutcome, String> {
+    // A failed cell on any shard fails the merged cell, with the
+    // lowest-shard error — deterministic runs fail identically on every
+    // shard.
+    if let Some(error) = shards.iter().find_map(|(_, part)| match part {
+        CellShard::Failed { error } => Some(error.clone()),
+        _ => None,
+    }) {
+        return Ok(CellOutcome::new(
+            label,
+            protocol,
+            num_nodes,
+            CellReport::Failed { error },
+        ));
+    }
     match shards[0].1 {
         CellShard::Campaign { .. } => {
             merge_campaign_cell(shards, workload, label, protocol, num_nodes)
@@ -2028,6 +2045,32 @@ fn merge_cell(
         CellShard::Mining { .. } => merge_mining_cell(shards, label, protocol, num_nodes),
         CellShard::Replicated { .. } => merge_replicated_cell(shards, label, protocol, num_nodes),
         CellShard::Failed { .. } => unreachable!("failed cells are handled above"),
+    }
+}
+
+/// Verifies one shard's warm-snapshot envelope and requires it to equal
+/// the one every earlier shard of the cell carried (kept in `agreed`).
+fn agree_on_snapshot(
+    agreed: &mut Option<WarmSnapshot>,
+    snapshot: WarmSnapshot,
+    label: &str,
+    plan: ShardPlan,
+) -> Result<(), String> {
+    snapshot
+        .verify()
+        .map_err(|e| format!("cell {label:?}, shard {}: {e}", plan.shard_index))?;
+    match agreed {
+        Some(reference) if *reference != snapshot => Err(format!(
+            "cell {label:?}: shard {} warmed to a different snapshot (digest {:#018x} vs \
+             {:#018x}) — were the parts produced by different scenario files, seeds or \
+             binaries?",
+            plan.shard_index, snapshot.digest, reference.digest
+        )),
+        Some(_) => Ok(()),
+        None => {
+            *agreed = Some(snapshot);
+            Ok(())
+        }
     }
 }
 
@@ -2061,22 +2104,7 @@ fn merge_slices(
             runs_used,
             stop_at: shard_stop,
         } = slice;
-        shard_snapshot
-            .verify()
-            .map_err(|e| format!("cell {label:?}, shard {}: {e}", plan.shard_index))?;
-        match &snapshot {
-            None => snapshot = Some(shard_snapshot),
-            Some(reference) => {
-                if *reference != shard_snapshot {
-                    return Err(format!(
-                        "cell {label:?}: shard {} warmed to a different snapshot (digest \
-                         {:#018x} vs {:#018x}) — were the parts produced by different \
-                         scenario files, seeds or binaries?",
-                        plan.shard_index, shard_snapshot.digest, reference.digest
-                    ));
-                }
-            }
-        }
+        agree_on_snapshot(&mut snapshot, shard_snapshot, label, plan)?;
         // A coordinated stop is one decision for the whole cell: every
         // slice must carry the same index, and no slice may keep a run
         // at or past it — otherwise the merge would not be the strict
@@ -2235,7 +2263,7 @@ fn merge_campaign_cell(
 /// independently via [`merge_slices`], cross-check the warm-time
 /// infiltration measurements (pure warm-state functions — every shard
 /// must have measured the same), then assemble the report through the
-/// same arithmetic the batch path uses.
+/// same arithmetic `adversarial_campaign` uses.
 fn merge_paired_cell(
     shards: Vec<(ShardPlan, CellShard)>,
     workload: &Workload,
@@ -2307,8 +2335,8 @@ fn merge_paired_cell(
 /// Merges one range-sharded mining cell: verify every shard mined off the
 /// same snapshot with the same relay, concatenate the fork runs (each
 /// range covers its plan exactly — mining runs cannot fail), and total
-/// the traffic as warmup plus every run's window, exactly like the batch
-/// path.
+/// the traffic as warmup plus every run's window, exactly like
+/// `mining_campaign_in`.
 fn merge_mining_cell(
     shards: Vec<(ShardPlan, CellShard)>,
     label: String,
@@ -2331,22 +2359,7 @@ fn merge_mining_cell(
                 plan.shard_index
             ));
         };
-        shard_snapshot
-            .verify()
-            .map_err(|e| format!("cell {label:?}, shard {}: {e}", plan.shard_index))?;
-        match &snapshot {
-            None => snapshot = Some(shard_snapshot),
-            Some(reference) => {
-                if *reference != shard_snapshot {
-                    return Err(format!(
-                        "cell {label:?}: shard {} warmed to a different snapshot (digest \
-                         {:#018x} vs {:#018x}) — were the parts produced by different \
-                         scenario files, seeds or binaries?",
-                        plan.shard_index, shard_snapshot.digest, reference.digest
-                    ));
-                }
-            }
-        }
+        agree_on_snapshot(&mut snapshot, shard_snapshot, &label, plan)?;
         match &relay {
             None => relay = Some(shard_relay),
             Some(reference) => {
@@ -2746,15 +2759,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_merge_matches_batch() {
-        let scenario = tiny(4);
-        let parts = shard_all(&scenario, 1);
-        assert_eq!(parts[0].runs_used(), 4);
-        let merged = merge_shards(parts).unwrap();
-        assert_eq!(merged, scenario.run_batch().unwrap());
-    }
-
-    #[test]
     fn multi_shard_merge_matches_batch_and_preserves_ecdf_order() {
         let scenario = tiny(5);
         let batch = scenario.run_batch().unwrap();
@@ -2898,7 +2902,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_stop_rules_are_rejected_for_sharded_runs() {
+    fn adaptive_stop_rules_need_a_coordinator_only_beyond_one_shard() {
         let mut scenario = tiny(8);
         scenario.stop = Some(StopRule::CiHalfWidth {
             level: 0.95,
@@ -2908,6 +2912,8 @@ mod tests {
         let err = run_shard(&scenario, ShardSpec::new(0, 2).unwrap()).unwrap_err();
         assert!(err.contains("adaptive"), "{err}");
         assert!(err.contains("ci(95%"), "{err}");
+        // Shard 0/1 sees every run and evaluates the rule itself.
+        run_shard(&scenario, ShardSpec::new(0, 1).unwrap()).unwrap();
         // The non-adaptive FixedRuns declaration shards fine.
         scenario.stop = Some(StopRule::FixedRuns);
         run_shard(&scenario, ShardSpec::new(0, 2).unwrap()).unwrap();
@@ -2962,18 +2968,19 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_observer_stream_matches_the_session() {
-        // The service's live-streaming contract: a 1-shard run observed
-        // through ShardRunOptions::observe emits exactly the event stream
-        // a ScenarioSession observer sees — same events, same order, same
-        // folded stats.
-        let scenario = tiny(4);
-        let reference = session_events(&scenario);
+    fn a_locally_stopped_shard_records_and_reports_the_prefix_it_kept() {
+        let mut scenario = tiny(30);
+        scenario.stop = Some(StopRule::CiHalfWidth {
+            level: 0.95,
+            rel_width: 0.25,
+            min_runs: 3,
+        });
+        let spec = ShardSpec::new(0, 1).unwrap();
         let mut observed: Vec<RunEvent> = Vec::new();
         let mut observe = |event: &RunEvent| observed.push(event.clone());
         let part = run_shard_with(
             &scenario,
-            ShardSpec::new(0, 1).unwrap(),
+            spec,
             &ProtocolRegistry::builtins(),
             ShardRunOptions {
                 observe: Some(&mut observe),
@@ -2981,12 +2988,37 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(observed, reference);
-        // Observing changed nothing about the part itself.
+        let CellShard::Campaign { slice } = &part.cells[0].part else {
+            panic!("streaming cell carries a campaign part");
+        };
+        let used = slice.runs_used;
+        assert!((1..30).contains(&used), "rule must stop early, used {used}");
+        assert_eq!(slice.stop_at, Some(used));
+        assert_eq!(part.cell_stop_indices(), vec![Some(used)]);
+        // The closing event reports the kept prefix, not the budget.
+        let RunEvent::CellCompleted {
+            runs_used,
+            stopped_early,
+            report,
+            ..
+        } = &observed[observed.len() - 2]
+        else {
+            panic!("expected cell_completed before scenario_completed");
+        };
+        assert_eq!((*runs_used, *stopped_early), (used, true));
         assert_eq!(
-            part,
-            run_shard(&scenario, ShardSpec::new(0, 1).unwrap()).unwrap()
+            observed
+                .iter()
+                .filter(|e| e.kind() == "run_completed")
+                .count(),
+            used
         );
+        // Observing changed nothing about the part, and the sealed part
+        // merges to the in-process outcome the event carried.
+        assert_eq!(part, run_shard(&scenario, spec).unwrap());
+        let merged = merge_shards(vec![part]).unwrap();
+        assert_eq!(merged.cells[0], **report);
+        assert_eq!(merged, scenario.run().unwrap());
     }
 
     #[test]

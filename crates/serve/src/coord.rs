@@ -27,7 +27,6 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The `POST /coord/abandon` body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,8 +35,9 @@ struct AbandonRequest {
     reason: String,
 }
 
-/// A running coordinator endpoint: accept loop on its own thread, one
-/// short-lived connection per request (the dialect of [`crate::http`]).
+/// A running coordinator endpoint: [`http::accept_loop`] on its own
+/// thread, one short-lived connection per request (the dialect of
+/// [`crate::http`]).
 pub struct CoordServer {
     addr: std::net::SocketAddr,
     stopping: Arc<AtomicBool>,
@@ -66,7 +66,14 @@ impl CoordServer {
             let coordinator = Arc::clone(&coordinator);
             std::thread::Builder::new()
                 .name("coord-accept".to_string())
-                .spawn(move || accept_loop(&stopping, &listener, &coordinator))
+                .spawn(move || {
+                    http::accept_loop(
+                        &listener,
+                        || stopping.load(Ordering::SeqCst),
+                        || {},
+                        move |stream, request| route(&coordinator, stream, request),
+                    );
+                })
                 .map_err(|e| format!("spawn coordinator accept loop: {e}"))?
         };
         Ok(CoordServer {
@@ -99,30 +106,6 @@ impl CoordServer {
 impl Drop for CoordServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(stopping: &AtomicBool, listener: &TcpListener, coordinator: &Arc<LocalCoordinator>) {
-    while !stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Requests are tiny and answered from in-memory state:
-                // handling them inline keeps the loop single-threaded and
-                // the coordinator free of connection bookkeeping.
-                let request = match http::read_request(&mut stream) {
-                    Ok(request) => request,
-                    Err(e) => {
-                        let _ = http::respond_error(&mut stream, 400, &e);
-                        continue;
-                    }
-                };
-                let _ = route(coordinator, &mut stream, &request);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
     }
 }
 

@@ -7,7 +7,25 @@
 //! registry access, so a hand-rolled reader beats a vendored framework.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long the accept loop sleeps when no connection is pending — the
+/// latency floor of noticing a stop request.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// How long an accepted connection may stay silent mid-request before
+/// its handler gives up on it. Requests are a few KB sent in one burst;
+/// a client that stalls this long is stuck or hostile, and without the
+/// bound it would pin its handler thread forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Largest accepted request head (request line plus every header line).
+/// The service's own clients send under 200 bytes; the bound keeps a
+/// client that never sends a newline from growing the line buffer
+/// without limit.
+pub const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// Largest accepted request body (a scenario JSON is a few KB; a megabyte
 /// of headroom keeps hand-written sweeps comfortable while bounding what a
@@ -37,17 +55,86 @@ impl Request {
     }
 }
 
+/// The poll-accept-dispatch loop both HTTP servers of this crate run on
+/// their accept thread: until `stop()` holds, call `tick()` (a periodic
+/// hook — the daemon polls for signals there), accept what is pending on
+/// the non-blocking `listener`, and serve each connection on a thread of
+/// its own — a 10 s read timeout set, one request read (a malformed one is
+/// answered `400`), then `route` — so one silent or slow client never
+/// delays another's request. Joins every connection thread before
+/// returning.
+pub fn accept_loop(
+    listener: &TcpListener,
+    stop: impl Fn() -> bool,
+    mut tick: impl FnMut(),
+    route: impl Fn(&mut TcpStream, &Request) -> Result<(), String> + Clone + Send + 'static,
+) {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    while !stop() {
+        tick();
+        let Ok((mut stream, _)) = listener.accept() else {
+            // Nothing pending (`WouldBlock`) or a transient accept error.
+            std::thread::sleep(ACCEPT_POLL);
+            continue;
+        };
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+            continue; // the peer is already gone
+        }
+        let route = route.clone();
+        let spawned = std::thread::Builder::new()
+            .name("http-conn".to_string())
+            .spawn(move || {
+                // Response errors mean the peer hung up; there is nobody
+                // left to tell.
+                let _ = match read_request(&mut stream) {
+                    Ok(request) => route(&mut stream, &request),
+                    Err(e) => respond_error(&mut stream, 400, &e),
+                };
+            });
+        connections.retain(|c| !c.is_finished());
+        // On a spawn failure the connection drops, which the client sees
+        // as a closed socket.
+        connections.extend(spawned);
+    }
+    for connection in connections {
+        let _ = connection.join();
+    }
+}
+
+/// Reads one head line into `line`, charging it to the `budget` of head
+/// bytes left.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    budget: &mut usize,
+) -> Result<(), String> {
+    // One byte over the budget is enough to tell "too long" from "fits".
+    let limit = *budget as u64 + 1;
+    let read = reader
+        .take(limit)
+        .read_line(line)
+        .map_err(|e| e.to_string())?;
+    if read > *budget {
+        return Err(format!(
+            "request head exceeds the {MAX_HEAD_BYTES}-byte limit"
+        ));
+    }
+    *budget -= read;
+    Ok(())
+}
+
 /// Reads and parses one request from `stream`.
 ///
 /// # Errors
 ///
-/// Malformed request line or headers, a body larger than
-/// [`MAX_BODY_BYTES`], or the underlying I/O error.
+/// Malformed request line or headers, a head larger than
+/// [`MAX_HEAD_BYTES`], a body larger than [`MAX_BODY_BYTES`], or the
+/// underlying I/O error (including the read timeout the accept loop set).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
+    let mut head_budget = MAX_HEAD_BYTES;
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
+    read_head_line(&mut reader, &mut line, &mut head_budget)
         .map_err(|e| format!("request line: {e}"))?;
     let mut parts = line.split_whitespace();
     let method = parts
@@ -62,8 +149,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader
-            .read_line(&mut header)
+        read_head_line(&mut reader, &mut header, &mut head_budget)
             .map_err(|e| format!("header: {e}"))?;
         let header = header.trim_end();
         if header.is_empty() {

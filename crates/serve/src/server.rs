@@ -7,23 +7,24 @@
 //! `shards` shard tasks (default 1) that enter one shared queue; the
 //! worker pool pulls tasks in FIFO order, so a multi-shard job's shards
 //! run concurrently across workers while other jobs queue behind them.
-//! Every shard executes through the PR 5/PR 6 path —
-//! [`run_shard_with`] with a checkpoint sink, plus the PR 7 warm-snapshot
-//! cache — and the worker that completes a job's last shard merges the
-//! parts with [`merge_shards`]. Scenarios that declare an adaptive stop
-//! rule cannot shard (a stop decision needs the whole folded prefix), so
-//! they run as a single session task instead.
+//! Every task — whatever the scenario declares — executes through the one
+//! scenario executor, [`run_shard_with`], with a checkpoint sink and the
+//! warm-snapshot cache, and the worker that completes a job's last shard
+//! merges the parts with [`merge_shards`]. A one-shard job of a scenario
+//! with an adaptive stop rule evaluates the rule itself (shard 0/1 sees
+//! every run); with more shards the job's tasks share an in-process
+//! [`LocalCoordinator`].
 //!
 //! # Event streams
 //!
 //! Single-shard jobs (the default) stream their live [`RunEvent`]s into a
 //! per-job [`EventLog`]; any number of `GET /jobs/:id/events` subscribers
 //! replay-then-tail it and receive exactly the byte stream the driver's
-//! `--jsonl` flag would have written. Multi-shard jobs interleave run
-//! indices across workers, so their stream is synthesized at merge time
-//! at cell granularity (started/completed per cell, then
-//! `scenario_completed`) — still validator-clean, just without per-run
-//! detail.
+//! `--jsonl` flag writes (it is the same executor's observer).
+//! Multi-shard jobs interleave run indices across workers, so their
+//! stream is synthesized at merge time at cell granularity
+//! (started/completed per cell, then `scenario_completed`) — still
+//! validator-clean, just without per-run detail.
 //!
 //! # Caching
 //!
@@ -73,7 +74,7 @@ pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port — see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Worker-pool size: how many shard/session tasks execute at once.
+    /// Worker-pool size: how many shard tasks execute at once.
     pub workers: usize,
     /// Maximum number of jobs waiting in the queue; submissions beyond it
     /// are refused with `503`.
@@ -137,7 +138,6 @@ struct Job {
     canonical: String,
     scenario: Scenario,
     shards: usize,
-    adaptive: bool,
     /// In-process stop coordinator for adaptive multi-shard jobs: every
     /// shard task of the job submits folded-prefix envelopes to it and
     /// blocks on its per-cell stop decisions (see [`LocalCoordinator`]).
@@ -186,8 +186,7 @@ impl Job {
     }
 }
 
-/// A unit of work in the queue: one shard of a job, or a whole adaptive
-/// session.
+/// A unit of work in the queue: one shard of a job.
 struct Task {
     job: Arc<Job>,
     shard: usize,
@@ -206,7 +205,7 @@ struct ServerMetrics {
     cache_hits: Arc<Counter>,
     /// Measuring runs actually executed (cache hits execute none).
     runs_executed: Arc<Counter>,
-    /// Shard/session tasks currently queued (set at scrape time).
+    /// Shard tasks currently queued (set at scrape time).
     queue_depth: Arc<Gauge>,
     /// Workers currently executing a task (maintained by the pool).
     workers_busy: Arc<Gauge>,
@@ -244,7 +243,7 @@ impl ServerMetrics {
         );
         let queue_depth = registry.gauge(
             "bcbpt_serve_queue_depth",
-            "Shard/session tasks waiting in the queue",
+            "Shard tasks waiting in the queue",
         );
         let workers_busy = registry.gauge(
             "bcbpt_serve_workers_busy",
@@ -303,7 +302,6 @@ struct ServerState {
     stopping: AtomicBool,
     next_job: AtomicU64,
     metrics: ServerMetrics,
-    connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ServerState {
@@ -375,7 +373,6 @@ impl Server {
             stopping: AtomicBool::new(false),
             next_job: AtomicU64::new(next_job),
             metrics: ServerMetrics::new(),
-            connections: Mutex::new(Vec::new()),
         });
         restore_spooled_jobs(&state);
         let worker_handles = (0..workers)
@@ -391,7 +388,19 @@ impl Server {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("serve-accept".to_string())
-                .spawn(move || accept_loop(&state, &listener))
+                .spawn(move || {
+                    let conn_state = Arc::clone(&state);
+                    http::accept_loop(
+                        &listener,
+                        || state.stopping.load(Ordering::SeqCst),
+                        || {
+                            if state.config.poll_signals && signals::drain_requested() {
+                                state.request_drain();
+                            }
+                        },
+                        move |stream, request| route(&conn_state, stream, request),
+                    );
+                })
                 .map_err(|e| format!("spawn accept loop: {e}"))?
         };
         Ok(Server {
@@ -431,13 +440,9 @@ impl Server {
         for job in self.state.jobs.lock().expect("jobs lock").values() {
             job.events.abort();
         }
+        // The accept loop joins its connection handlers on the way out.
         if let Some(accept) = self.accept.take() {
             accept.join().map_err(|_| "accept thread panicked")?;
-        }
-        let connections =
-            std::mem::take(&mut *self.state.connections.lock().expect("connections lock"));
-        for connection in connections {
-            let _ = connection.join();
         }
         Ok(())
     }
@@ -495,7 +500,6 @@ fn restore_spooled_jobs(state: &Arc<ServerState>) {
             canonical: serde_json::to_string(&scenario).expect("scenario serializes"),
             scenario,
             shards,
-            adaptive,
             coordinator,
             cached: false,
             phase: Mutex::new(Phase::Queued),
@@ -554,11 +558,7 @@ fn worker_loop(state: &Arc<ServerState>) {
         };
         state.metrics.queue_wait.observe(task.enqueued.elapsed());
         state.metrics.workers_busy.add(1);
-        if task.job.adaptive && task.job.shards == 1 {
-            run_session_task(state, &task.job);
-        } else {
-            run_shard_task(state, &task.job, task.shard);
-        }
+        run_shard_task(state, &task.job, task.shard);
         state.metrics.workers_busy.sub(1);
     }
 }
@@ -669,36 +669,6 @@ fn run_shard_task(state: &Arc<ServerState>, job: &Arc<Job>, shard: usize) {
     }
 }
 
-/// Runs an adaptive-stop job as one whole session (it cannot shard, and —
-/// lacking the shard checkpoint path — it finishes even under drain
-/// rather than parking; the drain waits for it).
-fn run_session_task(state: &Arc<ServerState>, job: &Arc<Job>) {
-    job.set_phase(Phase::Running);
-    let registry = ProtocolRegistry::builtins();
-    let observe_state = Arc::clone(state);
-    let observe_job = Arc::clone(job);
-    let session = job
-        .scenario
-        .session()
-        .with_threads(1)
-        .with_warm_cache(&state.warm)
-        .observe_fn(move |event: &RunEvent| {
-            if matches!(
-                event,
-                RunEvent::RunCompleted { .. } | RunEvent::RunFailed { .. }
-            ) {
-                observe_state.metrics.runs_executed.inc();
-            }
-            observe_job
-                .events
-                .push(serde_json::to_string(event).expect("event serializes"));
-        });
-    match session.block_in(&registry) {
-        Ok(outcome) => complete_job(state, job, &outcome),
-        Err(e) => fail_job(state, job, e),
-    }
-}
-
 /// If every shard part is in, merge and complete the job.
 fn finish_if_complete(state: &Arc<ServerState>, job: &Arc<Job>) {
     let parts: Vec<PartialOutcome> = {
@@ -793,43 +763,6 @@ fn synthesized_events(outcome: &ScenarioOutcome, runs: usize) -> Vec<RunEvent> {
 // ---------------------------------------------------------------------
 // HTTP front end
 // ---------------------------------------------------------------------
-
-fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
-    while !state.stopping.load(Ordering::SeqCst) {
-        if state.config.poll_signals && signals::drain_requested() {
-            state.request_drain();
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let state_conn = Arc::clone(state);
-                let handle = std::thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || handle_connection(&state_conn, stream));
-                let mut connections = state.connections.lock().expect("connections lock");
-                connections.retain(|h| !h.is_finished());
-                if let Ok(handle) = handle {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    let request = match http::read_request(&mut stream) {
-        Ok(request) => request,
-        Err(e) => {
-            let _ = http::respond_error(&mut stream, 400, &e);
-            return;
-        }
-    };
-    // Response errors mean the peer hung up; there is nobody left to tell.
-    let _ = route(state, &mut stream, &request);
-}
 
 fn route(
     state: &Arc<ServerState>,
@@ -1055,7 +988,6 @@ fn submit(
             canonical,
             scenario,
             shards,
-            adaptive,
             coordinator: None,
             cached: true,
             phase: Mutex::new(Phase::Done),
@@ -1096,7 +1028,6 @@ fn submit(
         canonical,
         scenario,
         shards,
-        adaptive,
         coordinator,
         cached: false,
         phase: Mutex::new(Phase::Queued),
@@ -1114,20 +1045,12 @@ fn submit(
         .insert(job.id.clone(), Arc::clone(&job));
     {
         let mut queue = state.queue.lock().expect("queue lock");
-        if job.adaptive && job.shards == 1 {
+        for shard in 0..shards {
             queue.push_back(Task {
                 job: Arc::clone(&job),
-                shard: 0,
+                shard,
                 enqueued: Instant::now(),
             });
-        } else {
-            for shard in 0..shards {
-                queue.push_back(Task {
-                    job: Arc::clone(&job),
-                    shard,
-                    enqueued: Instant::now(),
-                });
-            }
         }
     }
     state.queue_wake.notify_all();

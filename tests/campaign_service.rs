@@ -13,13 +13,18 @@
 //! 3. **Drain/park/resume** — a drained service parks running jobs at a
 //!    durable checkpoint; a service restarted on the same spool resumes
 //!    them and completes with a byte-identical outcome and stream.
+//! 4. **Hostile peers** — a connected-but-silent client delays nobody on
+//!    the daemon or the coordinator endpoint, and an oversize request
+//!    head is refused instead of buffered.
 
-use bcbpt_core::Scenario;
-use bcbpt_serve::{client, ServeConfig, Server};
+use bcbpt_core::{LocalCoordinator, Scenario};
+use bcbpt_serve::{client, http, CoordServer, ServeConfig, Server};
 use serde::Value;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fresh spool directory per test (removed up front so a rerun never
 /// resumes a previous run's jobs).
@@ -313,12 +318,46 @@ fn adaptive_jobs_wider_than_the_worker_pool_are_refused() {
 
 #[test]
 fn drain_parks_at_a_checkpoint_and_a_restart_resumes_byte_identically() {
-    let scenario = drainable();
-    let expected_lines = session_lines(&scenario);
-    let direct = direct_outcome_bytes(&scenario);
-    let spool = temp_spool("drain");
+    drain_park_resume(&drainable(), "drain");
+}
+
+#[test]
+fn an_adaptive_one_shard_job_parks_under_drain_and_resumes_identically() {
+    // The rule needs 12 folded runs before it may fire and the drain is
+    // requested after the first, so the job cannot finish in the drain
+    // window: it must park (the old whole-session task ran to completion
+    // instead), and the restart must stop at the same run index an
+    // uninterrupted `Scenario::run` picks — under the stateful rule, whose
+    // evaluator the resume has to re-prime from the checkpoint.
+    let mut scenario = drainable();
+    scenario.name = "drainable-adaptive".to_string();
+    scenario.stop = Some(bcbpt_core::StopRule::VarianceStable {
+        rel_tol: 0.02,
+        min_runs: 12,
+    });
+    let kept = scenario.run().unwrap().cells[0]
+        .campaign()
+        .unwrap()
+        .runs
+        .len();
+    assert!(
+        (12..scenario.runs).contains(&kept),
+        "the rule must fire inside the budget, kept {kept} runs"
+    );
+    let parked = drain_park_resume(&scenario, "drain-adaptive");
+    assert!(parked, "an adaptive one-shard job parks under drain");
+}
+
+/// Submits `scenario` as a one-shard job, drains the service once the
+/// first run folded, restarts it on the same spool, and checks outcome
+/// bytes and event stream against a direct run. Returns whether the job
+/// parked (`false`: it finished inside the drain window).
+fn drain_park_resume(scenario: &Scenario, tag: &str) -> bool {
+    let expected_lines = session_lines(scenario);
+    let direct = direct_outcome_bytes(scenario);
+    let spool = temp_spool(tag);
     let (server, addr) = start_server(&spool, 1);
-    let (job, cached) = submit(&addr, &scenario, "");
+    let (job, cached) = submit(&addr, scenario, "");
     assert!(!cached);
     // A live subscriber, to witness the cut stream on park.
     let subscriber = {
@@ -351,11 +390,11 @@ fn drain_parks_at_a_checkpoint_and_a_restart_resumes_byte_identically() {
         assert_eq!(partial_lines, expected_lines);
         let spool2 = spool.clone();
         let (server2, addr2) = start_server(&spool2, 1);
-        let (_, cached2) = submit(&addr2, &scenario, "");
+        let (_, cached2) = submit(&addr2, scenario, "");
         assert!(cached2, "completed-before-park job must be stored");
         server2.request_drain();
         server2.wait().expect("drain");
-        return;
+        return false;
     }
     assert!(
         !partial_lines.is_empty(),
@@ -392,4 +431,50 @@ fn drain_parks_at_a_checkpoint_and_a_restart_resumes_byte_identically() {
     assert_eq!(lines, expected_lines);
     server2.request_drain();
     server2.wait().expect("drain");
+    true
+}
+
+#[test]
+fn a_silent_client_delays_nobody_and_an_oversize_head_is_refused() {
+    let spool = temp_spool("hostile");
+    let (server, daemon_addr) = start_server(&spool, 1);
+    let mut adaptive = fig3_quick();
+    adaptive.stop = Some(bcbpt_core::StopRule::CiHalfWidth {
+        level: 0.95,
+        rel_width: 0.5,
+        min_runs: 2,
+    });
+    let coordinator = Arc::new(LocalCoordinator::new(&adaptive, 2, 1).expect("coordinator"));
+    let mut endpoint = CoordServer::start("127.0.0.1:0", coordinator).expect("endpoint starts");
+    let coord_addr = endpoint.local_addr().to_string();
+    for (addr, path) in [(&daemon_addr, "/healthz"), (&coord_addr, "/coord/config")] {
+        // Connected first (so accepted first — the listen queue is FIFO)
+        // and never sends a byte: its handler waits on its own thread
+        // (bounded by the read timeout), so the next request is answered
+        // at once — on the coordinator endpoint this used to block every
+        // `/coord/*` call, i.e. hang the fleet.
+        let silent = TcpStream::connect(addr.as_str()).expect("silent client connects");
+        let asked = Instant::now();
+        let response = client::get(addr, path).expect("request behind a silent client");
+        assert_eq!(response.status, 200, "{path}: {}", response.text());
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "{path} waited {:?} behind a silent client",
+            asked.elapsed()
+        );
+        // A request line that never ends is cut off at the head limit
+        // with a 4xx, not buffered until memory runs out.
+        let mut hostile = TcpStream::connect(addr.as_str()).expect("hostile client connects");
+        hostile
+            .write_all(&vec![b'A'; http::MAX_HEAD_BYTES + 1])
+            .expect("oversize head sent");
+        let mut reply = String::new();
+        hostile.read_to_string(&mut reply).expect("reply read");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{path}: {reply:?}");
+        assert!(reply.contains("limit"), "{path}: {reply:?}");
+        drop(silent);
+    }
+    endpoint.stop();
+    server.request_drain();
+    server.wait().expect("drain");
 }

@@ -5,17 +5,18 @@
 //! actionable repair plan, and property tests flip/truncate single bytes
 //! of the on-disk formats to prove corruption is never silently merged.
 
+mod common;
+
 use bcbpt::experiments::{
-    fault, merge_shards, run_shard_in, run_shard_with, salvage_merge, scenario_digest, Checkpoint,
-    FaultPlan, PartialOutcome, PrefixEnvelope, ShardRunOptions, ShardSpec, StopDecision,
-    COORD_FORMAT_VERSION,
+    checkpoint_replay_events, fault, merge_shards, run_shard_in, run_shard_with, salvage_merge,
+    scenario_digest, Checkpoint, FaultPlan, PartialOutcome, PrefixEnvelope, ShardRunOptions,
+    ShardSpec, StopDecision, COORD_FORMAT_VERSION,
 };
 use bcbpt::{
-    ExperimentConfig, Protocol, ProtocolRegistry, Scenario, ScenarioOutcome, StreamingSummary,
-    Workload,
+    ExperimentConfig, Protocol, ProtocolRegistry, RunEvent, Scenario, ScenarioOutcome, StopRule,
+    StreamingSummary, Workload,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 /// The fault injector is process-global, and every test here either arms
@@ -29,27 +30,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
-}
-
 /// Loads `scenarios/fig3.json` shrunk to integration-test scale: two
 /// campaign cells, four runs, a small network.
 fn tiny_scenario() -> Scenario {
-    let path = scenarios_dir().join("fig3.json");
-    let text = std::fs::read_to_string(&path).expect("fig3.json");
-    let mut scenario = Scenario::from_json(&text)
-        .expect("fig3 parses")
-        .quick_scaled();
-    scenario.net.num_nodes = 50;
+    let mut scenario = common::checked_in("fig3");
     scenario.runs = 4;
-    scenario.warmup_ms = 800.0;
-    scenario.window_ms = 8_000.0;
-    if let Some(sweep) = &mut scenario.sweep {
-        sweep.protocols.truncate(2);
-        sweep.thresholds_ms.truncate(1);
-        sweep.num_nodes.truncate(1);
-    }
     assert!(matches!(scenario.workload, Workload::TxFlood));
     scenario
 }
@@ -185,6 +170,95 @@ fn a_resumed_shard_is_byte_identical_to_an_uninterrupted_one() {
                 baseline.to_json(),
                 "resume from checkpoint {i} at {threads} threads diverged"
             );
+        }
+    }
+}
+
+#[test]
+fn a_resumed_adaptive_whole_shard_matches_an_uninterrupted_one() {
+    // Shard 0/1 under a local stop rule: killed at any checkpoint and
+    // resumed, it stops at the same run index, writes the same part and —
+    // replayed prefix plus continuation — emits the same event stream as
+    // the uninterrupted run. `VarianceStable` is the hard case: it is
+    // stateful across evaluation points, so resume must re-prime it with
+    // exactly the prefix checkpoints the killed run showed it.
+    let _lock = lock();
+    let registry = ProtocolRegistry::builtins();
+    let whole = ShardSpec::new(0, 1).unwrap();
+    for rule in [
+        StopRule::CiHalfWidth {
+            level: 0.95,
+            rel_width: 0.5,
+            min_runs: 3,
+        },
+        StopRule::VarianceStable {
+            rel_tol: 0.2,
+            min_runs: 4,
+        },
+    ] {
+        let mut scenario = tiny_scenario();
+        scenario.runs = 12;
+        scenario.stop = Some(rule);
+        let mut reference_events: Vec<RunEvent> = Vec::new();
+        let mut observe = |event: &RunEvent| reference_events.push(event.clone());
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
+        let mut sink = |c: &Checkpoint| -> Result<(), String> {
+            checkpoints.push(c.clone());
+            Ok(())
+        };
+        let baseline = run_shard_with(
+            &scenario,
+            whole,
+            &registry,
+            ShardRunOptions {
+                threads: Some(2),
+                sink: Some(&mut sink),
+                observe: Some(&mut observe),
+                ..ShardRunOptions::default()
+            },
+        )
+        .expect("uninterrupted adaptive shard");
+        let stops = baseline.cell_stop_indices();
+        assert!(
+            stops.iter().any(|s| s.is_some_and(|s| s > 2)),
+            "{}: the rule must fire mid-budget, after a few folds: {stops:?}",
+            rule.label()
+        );
+        assert_eq!(
+            merge_shards(vec![baseline.clone()]).unwrap(),
+            scenario.run().unwrap(),
+            "{}: the 0/1 part merges to the direct run",
+            rule.label()
+        );
+        for (i, checkpoint) in checkpoints.iter().enumerate() {
+            for threads in [1usize, 3] {
+                let mut events = checkpoint_replay_events(&scenario, checkpoint).unwrap();
+                let mut observe = |event: &RunEvent| events.push(event.clone());
+                let resumed = run_shard_with(
+                    &scenario,
+                    whole,
+                    &registry,
+                    ShardRunOptions {
+                        threads: Some(threads),
+                        resume: Some(checkpoint.clone()),
+                        observe: Some(&mut observe),
+                        ..ShardRunOptions::default()
+                    },
+                )
+                .unwrap_or_else(|e| panic!("resume from checkpoint {i}: {e}"));
+                assert_eq!(
+                    resumed.to_json(),
+                    baseline.to_json(),
+                    "{}: resume from checkpoint {i} at {threads} threads diverged",
+                    rule.label()
+                );
+                assert_eq!(
+                    events,
+                    reference_events,
+                    "{}: resumed stream from checkpoint {i} diverged",
+                    rule.label()
+                );
+            }
         }
     }
 }
@@ -445,15 +519,8 @@ proptest! {
 /// paired adversarial campaign whose parts carry clean *and* attacked
 /// campaign slices.
 fn tiny_paired_scenario() -> Scenario {
-    let path = scenarios_dir().join("pingspoof.json");
-    let text = std::fs::read_to_string(&path).expect("pingspoof.json");
-    let mut scenario = Scenario::from_json(&text)
-        .expect("pingspoof parses")
-        .quick_scaled();
+    let mut scenario = common::checked_in("pingspoof");
     scenario.net.num_nodes = 40;
-    scenario.runs = 3;
-    scenario.warmup_ms = 800.0;
-    scenario.window_ms = 8_000.0;
     if let Workload::Adversarial { attackers, .. } = &mut scenario.workload {
         *attackers = (*attackers).clamp(1, 3);
     }

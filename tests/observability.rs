@@ -7,15 +7,19 @@
 //! recording and span tracing fully armed, and demand the outcome bytes
 //! match the uninstrumented run exactly, at every thread count.
 //!
-//! Span recording uses process-global state (`install_trace` /
-//! `take_trace`), so the tests that arm it serialize on one mutex.
+//! Span recording and the metrics registry are process-global state, so
+//! every test here serializes on one mutex.
 
-use bcbpt::Scenario;
+mod common;
+
+use bcbpt::experiments::{mining_campaign_in, run_shard, ShardSpec};
+use bcbpt::{ProtocolRegistry, Scenario, Workload};
 use bcbpt_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
-/// Serializes the tests that touch the global trace recorder.
+/// Serializes the tests: they arm the global trace recorder or read
+/// deltas of global counters.
 static TRACE_GATE: Mutex<()> = Mutex::new(());
 
 fn run_outcome(scenario: &Scenario, threads: usize) -> String {
@@ -99,6 +103,7 @@ fn campaign_trace_covers_every_phase() {
 /// through JSON unchanged.
 #[test]
 fn campaign_metrics_flow_into_the_global_registry() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = Scenario::builtin("fig3").expect("builtin").quick_scaled();
     bcbpt_core::obs::register_metrics();
     let before = bcbpt_obs::global()
@@ -132,4 +137,56 @@ fn campaign_metrics_flow_into_the_global_registry() {
         json,
         "snapshot JSON round-trip drifted"
     );
+}
+
+/// Mining cells executed through the scenario executor feed the net byte
+/// counters exactly once per cell: the same bytes the direct
+/// `mining_campaign_in` reference adds for the same cells.
+#[test]
+fn mining_cells_feed_the_net_byte_counters_once_per_cell() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = common::checked_in("relay");
+    let Workload::Mining {
+        block_interval_ms,
+        duration_ms,
+    } = scenario.workload
+    else {
+        panic!("relay.json is a mining scenario");
+    };
+    assert!(
+        scenario.runs > 0,
+        "replicated mining, the range-sharded mode"
+    );
+    bcbpt_core::obs::register_metrics();
+    let net_bytes = || {
+        let snapshot = bcbpt_obs::global().snapshot();
+        let read = |name| snapshot.counter(name).expect("registered");
+        (
+            read("bcbpt_net_bytes_total"),
+            read("bcbpt_net_redundant_bytes_total"),
+        )
+    };
+    let before = net_bytes();
+    run_shard(&scenario, ShardSpec::new(0, 1).unwrap()).expect("shard run");
+    let after_shard = net_bytes();
+    let registry = ProtocolRegistry::builtins();
+    for cell in scenario.cells() {
+        let cfg = scenario.cell_config(&cell);
+        mining_campaign_in(
+            &registry,
+            &cfg,
+            block_interval_ms,
+            duration_ms,
+            scenario.runs,
+        )
+        .expect("direct mining campaign");
+    }
+    let after_direct = net_bytes();
+    let via_shard = (after_shard.0 - before.0, after_shard.1 - before.1);
+    let direct = (
+        after_direct.0 - after_shard.0,
+        after_direct.1 - after_shard.1,
+    );
+    assert!(via_shard.0 > 0 && via_shard.1 > 0, "{via_shard:?}");
+    assert_eq!(via_shard, direct);
 }

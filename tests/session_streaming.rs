@@ -1,69 +1,95 @@
-//! Integration coverage for the streaming session API: `FixedRuns`
-//! sessions reproduce the batch reference byte-for-byte on every
-//! checked-in scenario, adaptive stopping is thread-count invariant, and
-//! a `CiHalfWidth` budget on the fig3 quick scenario saves a large share
-//! of the measuring runs without moving the reported mean outside the
+//! Integration coverage for the session API: the `--quick` outcome of
+//! every checked-in scenario and the fig3 event streams are pinned to the
+//! bytes recorded before `run`, `run_batch` and sessions became shard 0/1
+//! of the one executor; adaptive stopping is thread-count invariant; and a
+//! `CiHalfWidth` budget on the fig3 quick scenario saves a large share of
+//! the measuring runs without moving the reported mean outside the
 //! full-budget confidence interval.
 
-use bcbpt::{RunEvent, Scenario, StopRule, Workload};
-use std::path::PathBuf;
+mod common;
+
+use bcbpt::{RunEvent, Scenario, StopRule};
+use common::{checked_in, checked_in_quick, fnv1a64};
 use std::sync::{Arc, Mutex};
 
-fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
-}
+/// FNV-1a of `scenario run <name> --quick --json` (without the trailing
+/// newline), recorded at commit 85ebb93 — the last one with three cell
+/// drivers — and `cmp`-checked against that commit's binary.
+const QUICK_OUTCOME_PINS: &[(&str, u64)] = &[
+    ("fig3", 0x25d2_3fb1_6636_301d),
+    ("fig4", 0x8859_dcc3_9bed_2351),
+    ("sweep", 0x20c6_1d77_d978_c793),
+    ("forks", 0x008a_fe42_2089_89bb),
+    ("eclipse", 0xcf58_2e60_5f87_9e25),
+    ("partition", 0x10aa_e024_4314_ab6d),
+    ("overhead", 0xe8ef_77c9_293c_2a1f),
+    ("churn", 0x811e_83c8_efda_0318),
+    ("pingspoof", 0x2ea4_ed12_1e68_bf95),
+    ("withhold", 0x6ca3_b37b_6d2a_8a0f),
+    ("relay", 0x4b48_bfff_6624_fa58),
+];
 
-/// Shrinks a quick-scaled scenario further so the whole corpus stays
-/// integration-test sized in debug builds.
-fn shrink(scenario: &mut Scenario) {
-    scenario.net.num_nodes = scenario.net.num_nodes.min(70);
-    scenario.runs = scenario.runs.min(3);
-    scenario.warmup_ms = scenario.warmup_ms.min(1_000.0);
-    scenario.window_ms = scenario.window_ms.min(12_000.0);
-    if let Workload::Mining { duration_ms, .. } = &mut scenario.workload {
-        *duration_ms = duration_ms.min(15_000.0);
-    }
-    if let Workload::Adversarial { attackers, .. } = &mut scenario.workload {
-        *attackers = (*attackers).clamp(1, 6);
-    }
-    if let Workload::Eclipse { victims, .. } = &mut scenario.workload {
-        *victims = (*victims).min(5);
-    }
-    if let Some(sweep) = &mut scenario.sweep {
-        sweep.protocols.truncate(2);
-        sweep.thresholds_ms.truncate(2);
-        sweep.num_nodes.truncate(1);
-    }
-}
+/// FNV-1a of `scenario run fig3 --quick --jsonl <path>` at the same
+/// commit: the whole budget, and under what `--stop-ci 0.1` installs (it
+/// fires inside the quick budget, so the local stop index is pinned too).
+const FIG3_STREAM_PINS: &[(StopRule, u64)] = &[
+    (StopRule::FixedRuns, 0x25bf_0dcd_0adc_c375),
+    (
+        StopRule::CiHalfWidth {
+            level: 0.95,
+            rel_width: 0.1,
+            min_runs: 2,
+        },
+        0x1bca_665b_6a98_1b9a,
+    ),
+];
 
 #[test]
-fn fixed_runs_sessions_match_the_batch_reference_on_every_checked_in_scenario() {
-    for name in Scenario::builtin_names() {
-        let path = scenarios_dir().join(format!("{name}.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut scenario = Scenario::from_json(&text)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .quick_scaled();
-        shrink(&mut scenario);
-        let batch = scenario
-            .run_batch()
+fn checked_in_outcomes_and_fig3_streams_are_pinned() {
+    assert_eq!(
+        QUICK_OUTCOME_PINS
+            .iter()
+            .map(|(n, _)| *n)
+            .collect::<Vec<_>>(),
+        Scenario::builtin_names(),
+        "one pin per checked-in scenario"
+    );
+    for (name, pinned) in QUICK_OUTCOME_PINS {
+        let outcome = checked_in_quick(name)
+            .run()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let session = scenario
-            .session()
-            .with_stop_rule(StopRule::FixedRuns)
-            .block()
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let digest = fnv1a64(outcome.to_json().as_bytes());
         assert_eq!(
-            session, batch,
-            "{name}: FixedRuns session diverged from the batch reference"
+            digest, *pinned,
+            "{name}: outcome digest {digest:#018x} differs from the pinned {pinned:#018x}"
+        );
+    }
+    let fig3 = checked_in_quick("fig3");
+    for (rule, pinned) in FIG3_STREAM_PINS {
+        let jsonl = Arc::new(Mutex::new(String::new()));
+        let sink = Arc::clone(&jsonl);
+        fig3.session()
+            .with_stop_rule(*rule)
+            .observe_fn(move |event: &RunEvent| {
+                let mut text = sink.lock().unwrap();
+                text.push_str(&serde_json::to_string(event).unwrap());
+                text.push('\n');
+            })
+            .block()
+            .unwrap();
+        let digest = fnv1a64(jsonl.lock().unwrap().as_bytes());
+        assert_eq!(
+            digest,
+            *pinned,
+            "fig3 under {}: stream digest {digest:#018x} differs from the pinned {pinned:#018x}",
+            rule.label()
         );
     }
 }
 
 #[test]
 fn ci_half_width_early_stop_is_identical_at_1_3_and_8_threads() {
-    let mut scenario = Scenario::builtin("fig3").unwrap().quick_scaled();
-    shrink(&mut scenario);
+    let mut scenario = checked_in("fig3");
     scenario.runs = 20;
     let rule = StopRule::CiHalfWidth {
         level: 0.95,
@@ -176,9 +202,7 @@ fn adaptive_fig3_quick_saves_runs_and_keeps_the_mean_inside_the_full_ci() {
 
 #[test]
 fn session_event_stream_reaches_observers_for_a_checked_in_scenario() {
-    let text = std::fs::read_to_string(scenarios_dir().join("fig3.json")).unwrap();
-    let mut scenario = Scenario::from_json(&text).unwrap().quick_scaled();
-    shrink(&mut scenario);
+    let scenario = checked_in("fig3");
     let events = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&events);
     let outcome = scenario

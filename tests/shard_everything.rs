@@ -7,53 +7,16 @@
 //! `FixedRuns` prefix `0..S` of the full run stream, with the same `S`
 //! at every thread count.
 
+mod common;
+
 use bcbpt::experiments::{
-    merge_shards, run_shard_in, run_shard_with, LocalCoordinator, PartialOutcome, ShardRunOptions,
-    ShardSpec, StopCoordinator,
+    merge_shards, run_shard_in, run_shard_with, CellShard, LocalCoordinator, PartialOutcome,
+    ShardRunOptions, ShardSpec, StopCoordinator,
 };
-use bcbpt::{ProtocolRegistry, Scenario, StopRule, Workload};
+use bcbpt::{ProtocolRegistry, RunEvent, Scenario, StopRule};
+use common::checked_in;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
-}
-
-/// Shrinks a quick-scaled scenario to integration-test scale (mirrors
-/// `tests/shard_merge.rs`, slightly harder: this suite multiplies every
-/// scenario by a shard × thread matrix).
-fn shrink(scenario: &mut Scenario) {
-    scenario.net.num_nodes = scenario.net.num_nodes.min(50);
-    scenario.runs = scenario.runs.min(3);
-    scenario.warmup_ms = scenario.warmup_ms.min(800.0);
-    scenario.window_ms = scenario.window_ms.min(8_000.0);
-    if let Workload::Mining { duration_ms, .. } = &mut scenario.workload {
-        *duration_ms = duration_ms.min(12_000.0);
-    }
-    if let Workload::Adversarial { attackers, .. } = &mut scenario.workload {
-        *attackers = (*attackers).clamp(1, 4);
-    }
-    if let Workload::Eclipse { victims, .. } = &mut scenario.workload {
-        *victims = (*victims).min(4);
-    }
-    if let Some(sweep) = &mut scenario.sweep {
-        sweep.protocols.truncate(2);
-        sweep.thresholds_ms.truncate(1);
-        sweep.num_nodes.truncate(1);
-    }
-}
-
-/// Loads one checked-in scenario at integration-test scale.
-fn checked_in(name: &str) -> Scenario {
-    let path = scenarios_dir().join(format!("{name}.json"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut scenario = Scenario::from_json(&text)
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .quick_scaled();
-    shrink(&mut scenario);
-    scenario
-}
 
 /// Executes every shard of `scenario` at an explicit thread count,
 /// round-tripping each part through its JSON wire format exactly like
@@ -242,23 +205,27 @@ fn the_coordinated_stop_index_is_recorded_in_every_part() {
     let coordinator =
         Arc::new(LocalCoordinator::new(&scenario, 2, 1).expect("coordinator constructs"));
     let scenario_ref = &scenario;
-    let parts: Vec<PartialOutcome> = std::thread::scope(|scope| {
+    let observed: Vec<(PartialOutcome, Vec<RunEvent>)> = std::thread::scope(|scope| {
         (0..2)
             .map(|i| {
                 let coordinator = Arc::clone(&coordinator);
                 let registry = &registry;
                 scope.spawn(move || {
-                    run_shard_with(
+                    let mut events = Vec::new();
+                    let mut observe = |event: &RunEvent| events.push(event.clone());
+                    let part = run_shard_with(
                         scenario_ref,
                         ShardSpec::new(i, 2).unwrap(),
                         registry,
                         ShardRunOptions {
                             threads: Some(2),
+                            observe: Some(&mut observe),
                             coordinator: Some(&*coordinator as &dyn StopCoordinator),
                             ..ShardRunOptions::default()
                         },
                     )
-                    .expect("coordinated shard")
+                    .expect("coordinated shard");
+                    (part, events)
                 })
             })
             .collect::<Vec<_>>()
@@ -266,6 +233,28 @@ fn the_coordinated_stop_index_is_recorded_in_every_part() {
             .map(|h| h.join().expect("shard thread"))
             .collect()
     });
+    // A stopped cell's closing event reports the prefix its slice kept,
+    // never `stopped_early` next to the full budget.
+    for (i, (part, events)) in observed.iter().enumerate() {
+        let closings = events.iter().filter_map(|event| match event {
+            RunEvent::CellCompleted {
+                cell,
+                runs_used,
+                stopped_early,
+                ..
+            } => Some((*cell, *runs_used, *stopped_early)),
+            _ => None,
+        });
+        for (cell, runs_used, stopped_early) in closings {
+            let CellShard::Campaign { slice } = &part.cells[cell].part else {
+                panic!("streaming cell carries a campaign part");
+            };
+            assert!(stopped_early, "shard {i} cell {cell}: the rule fired");
+            assert_eq!(runs_used, slice.runs_used, "shard {i} cell {cell}");
+            assert!(runs_used < scenario.runs, "shard {i} cell {cell}");
+        }
+    }
+    let parts: Vec<PartialOutcome> = observed.into_iter().map(|(part, _)| part).collect();
     let stops: Vec<Option<usize>> = coordinator
         .decisions()
         .into_iter()

@@ -1,53 +1,17 @@
 //! Integration coverage for cross-host campaign sharding: for every
-//! checked-in scenario, executing the run range as 1, 2 or 5 independent
-//! shards and merging the serialized parts reproduces the unsharded batch
-//! outcome byte-for-byte — and scenarios that declare an adaptive stop
-//! rule are rejected with a clear error unless the shard is pointed at a
-//! coordinator, instead of silently diverging (the coordinated path is
-//! pinned by `tests/shard_everything.rs`).
+//! checked-in scenario, executing the run range as 2 or 5 independent
+//! shards and merging the serialized parts reproduces the unsharded
+//! outcome byte-for-byte — and a scenario that declares an adaptive stop
+//! rule runs as the single shard 0/1 but is rejected with a clear error
+//! as one shard of several unless pointed at a coordinator, instead of
+//! silently diverging (the coordinated path is pinned by
+//! `tests/shard_everything.rs`).
+
+mod common;
 
 use bcbpt::experiments::{merge_shards, run_shard, PartialOutcome, ShardSpec};
-use bcbpt::{Scenario, StopRule, Workload};
-use std::path::PathBuf;
-
-fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
-}
-
-/// Shrinks a quick-scaled scenario further so the whole corpus stays
-/// integration-test sized in debug builds (mirrors
-/// `tests/session_streaming.rs`).
-fn shrink(scenario: &mut Scenario) {
-    scenario.net.num_nodes = scenario.net.num_nodes.min(60);
-    scenario.runs = scenario.runs.min(3);
-    scenario.warmup_ms = scenario.warmup_ms.min(1_000.0);
-    scenario.window_ms = scenario.window_ms.min(10_000.0);
-    if let Workload::Mining { duration_ms, .. } = &mut scenario.workload {
-        *duration_ms = duration_ms.min(15_000.0);
-    }
-    if let Workload::Adversarial { attackers, .. } = &mut scenario.workload {
-        *attackers = (*attackers).clamp(1, 6);
-    }
-    if let Workload::Eclipse { victims, .. } = &mut scenario.workload {
-        *victims = (*victims).min(5);
-    }
-    if let Some(sweep) = &mut scenario.sweep {
-        sweep.protocols.truncate(2);
-        sweep.thresholds_ms.truncate(2);
-        sweep.num_nodes.truncate(1);
-    }
-}
-
-/// Loads one checked-in scenario at integration-test scale.
-fn checked_in(name: &str) -> Scenario {
-    let path = scenarios_dir().join(format!("{name}.json"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut scenario = Scenario::from_json(&text)
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .quick_scaled();
-    shrink(&mut scenario);
-    scenario
-}
+use bcbpt::{Scenario, StopRule};
+use common::checked_in;
 
 /// Executes every shard of `scenario` and round-trips each part through
 /// its JSON wire format — the merge must consume exactly what
@@ -69,14 +33,14 @@ fn sharded_execution_matches_the_batch_reference_on_every_checked_in_scenario() 
         let mut scenario = checked_in(name);
         if scenario.stop.as_ref().is_some_and(StopRule::is_adaptive) {
             // Covered by adaptive_stop_scenarios_are_rejected; the
-            // equivalence claim below is for the batch semantics, which
-            // ignore the stop rule — so strip it.
+            // equivalence claim below is for the full-budget semantics,
+            // which ignore the stop rule — so strip it.
             scenario.stop = None;
         }
         let batch = scenario
             .run_batch()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for count in [1usize, 2, 5] {
+        for count in [2usize, 5] {
             let parts = shard_all(&scenario, count);
             let merged =
                 merge_shards(parts).unwrap_or_else(|e| panic!("{name} at {count} shard(s): {e}"));
@@ -111,7 +75,7 @@ fn merged_statistics_accessors_match_the_batch_recompute_bitwise() {
 #[test]
 fn adaptive_stop_scenarios_are_rejected_with_a_clear_error() {
     // scenarios/sweep.json declares a CiHalfWidth budget — the checked-in
-    // witness that sharding refuses adaptive stop rules.
+    // witness that one shard of several refuses an adaptive stop rule.
     let scenario = checked_in("sweep");
     assert!(
         scenario.stop.as_ref().is_some_and(StopRule::is_adaptive),
@@ -124,6 +88,14 @@ fn adaptive_stop_scenarios_are_rejected_with_a_clear_error() {
             "error should mention {needle:?}: {err}"
         );
     }
+    // Shard 0/1 sees every run, evaluates the rule itself, and its part
+    // merges to exactly what the unsharded run returns.
+    let whole = run_shard(&scenario, ShardSpec::new(0, 1).unwrap()).unwrap();
+    let part = PartialOutcome::from_json(&whole.to_json()).unwrap();
+    assert_eq!(
+        merge_shards(vec![part]).unwrap().to_json(),
+        scenario.run().unwrap().to_json()
+    );
 }
 
 #[test]
