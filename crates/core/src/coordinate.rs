@@ -1,10 +1,10 @@
 //! Cross-shard adaptive stopping: the coordinator round of the shard
 //! protocol.
 //!
-//! An adaptive [`StopRule`] decides on the *folded prefix* of the whole
-//! run stream, which no single shard of a `--shard i/N` split ever sees.
-//! This module closes that gap with a thin, deterministic coordination
-//! round:
+//! An adaptive [`StopRule`](crate::StopRule) decides on the *folded
+//! prefix* of the whole run stream, which no single shard of a
+//! `--shard i/N` split ever sees. This module closes that gap with a
+//! thin, deterministic coordination round:
 //!
 //! - every shard serializes its folded prefix accumulators (the
 //!   [`StreamingSummary`] pair the stop rules consult) into a digest-
@@ -37,252 +37,13 @@
 //! `scenario shard run --coordinate <addr>` fleets.
 
 use crate::scenario::Scenario;
-use crate::session::{StopEval, StopRule};
-use crate::shard::{fnv1a64, scenario_digest, ShardPlan};
+use crate::session::StopEval;
+use crate::shard::ShardPlan;
+use crate::wire::{CoordinatorConfig, PrefixEnvelope, Sealed, StopDecision, COORD_FORMAT_VERSION};
 use bcbpt_stats::StreamingSummary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-/// Version stamp of the coordinator wire format ([`CoordinatorConfig`],
-/// [`PrefixEnvelope`], [`StopDecision`]). Bumped on any change to the
-/// serialized shape or to the decision semantics.
-pub const COORD_FORMAT_VERSION: u32 = 1;
-
-/// The coordinator's identity card, fetched by every joining shard: which
-/// scenario (by content digest), how many shards, what cadence, which
-/// rule. A shard refuses to coordinate with a config that does not match
-/// its own launch parameters — two fleets pointed at one coordinator by
-/// mistake fail loudly instead of folding each other's prefixes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoordinatorConfig {
-    /// Coordinator wire-format version.
-    pub version: u32,
-    /// The scenario's name (diagnostics; the digest is authoritative).
-    pub scenario: String,
-    /// [`scenario_digest`] of the exact scenario being coordinated.
-    pub scenario_digest: u64,
-    /// The scenario's whole `runs` budget.
-    pub scenario_runs: usize,
-    /// Number of shards in the fleet.
-    pub shard_count: usize,
-    /// Checkpoint cadence in run indices: the rule is evaluated at every
-    /// global run index divisible by this (and at the full budget).
-    pub cadence: usize,
-    /// The adaptive stop rule the coordinator evaluates.
-    pub stop: StopRule,
-    /// FNV-1a content digest (fields above, `digest` zeroed).
-    pub digest: u64,
-}
-
-impl CoordinatorConfig {
-    /// Serializes the config (the `GET /coord/config` body).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("coordinator config serializes")
-    }
-
-    /// Parses a config from JSON (does not verify the seal).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid coordinator config: {e}"))
-    }
-
-    /// Seals the config: recomputes and stores the content digest.
-    pub fn seal(&mut self) {
-        self.digest = self.fingerprint();
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        fnv1a64(
-            serde_json::to_string(&zeroed)
-                .expect("coordinator config serializes")
-                .as_bytes(),
-        )
-    }
-
-    /// Checks the content digest against the fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify_seal(&self) -> Result<(), String> {
-        if self.version != COORD_FORMAT_VERSION {
-            return Err(format!(
-                "coordinator config is format v{}, this build speaks v{COORD_FORMAT_VERSION}",
-                self.version
-            ));
-        }
-        if self.digest != self.fingerprint() {
-            return Err(
-                "coordinator config digest does not match its contents — transport corruption \
-                 or a tampered coordinator"
-                    .to_string(),
-            );
-        }
-        Ok(())
-    }
-}
-
-/// One shard's folded prefix at one boundary position: everything an
-/// adaptive rule consults, digest-sealed. `deltas` pools every finite
-/// `Δt(m,n)` sample of runs `run_start..upto`; `run_means` holds one
-/// mean per successful measuring run in that range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PrefixEnvelope {
-    /// Coordinator wire-format version.
-    pub version: u32,
-    /// [`scenario_digest`] of the scenario this prefix belongs to.
-    pub scenario_digest: u64,
-    /// Which sweep cell the prefix belongs to.
-    pub cell_index: usize,
-    /// Which shard folded it.
-    pub shard_index: usize,
-    /// The fleet size the shard was launched with.
-    pub shard_count: usize,
-    /// One past the last global run index folded into the accumulators.
-    pub upto: usize,
-    /// Pooled `Δt(m,n)` accumulator over `run_start..upto`.
-    pub deltas: StreamingSummary,
-    /// Per-run-mean accumulator over the same range.
-    pub run_means: StreamingSummary,
-    /// Successful measuring runs in the range.
-    pub measured_runs: usize,
-    /// FNV-1a content digest (fields above, `digest` zeroed).
-    pub digest: u64,
-}
-
-impl PrefixEnvelope {
-    /// Serializes the envelope (the `POST /coord/submit` body).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("prefix envelope serializes")
-    }
-
-    /// Parses an envelope from JSON (does not verify the seal).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid prefix envelope: {e}"))
-    }
-
-    /// Seals the envelope: recomputes and stores the content digest.
-    pub fn seal(&mut self) {
-        self.digest = self.fingerprint();
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        fnv1a64(
-            serde_json::to_string(&zeroed)
-                .expect("prefix envelope serializes")
-                .as_bytes(),
-        )
-    }
-
-    /// Checks the content digest against the fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify_seal(&self) -> Result<(), String> {
-        if self.version != COORD_FORMAT_VERSION {
-            return Err(format!(
-                "prefix envelope is format v{}, this build speaks v{COORD_FORMAT_VERSION}",
-                self.version
-            ));
-        }
-        if self.digest != self.fingerprint() {
-            return Err(format!(
-                "prefix envelope (cell {}, shard {}, upto {}) digest does not match its \
-                 contents — transport corruption or tampering; the prefix is rejected",
-                self.cell_index, self.shard_index, self.upto
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The coordinator's verdict for one cell, broadcast to every shard:
-/// `stop_at: Some(S)` means *keep only run indices `< S`* (a strict
-/// prefix of the budget); `None` means the rule never fired and the cell
-/// consumes its whole `runs` budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StopDecision {
-    /// Coordinator wire-format version.
-    pub version: u32,
-    /// [`scenario_digest`] of the scenario decided on.
-    pub scenario_digest: u64,
-    /// Which sweep cell was decided.
-    pub cell_index: usize,
-    /// `Some(S)`: truncate to runs `< S` (`0 < S < scenario_runs`);
-    /// `None`: run the full budget.
-    pub stop_at: Option<usize>,
-    /// Label of the rule that decided (diagnostics).
-    pub rule: String,
-    /// FNV-1a content digest (fields above, `digest` zeroed).
-    pub digest: u64,
-}
-
-impl StopDecision {
-    /// Serializes the decision (the coordinator's response payload).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("stop decision serializes")
-    }
-
-    /// Parses a decision from JSON (does not verify the seal).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid stop decision: {e}"))
-    }
-
-    /// Seals the decision: recomputes and stores the content digest.
-    pub fn seal(&mut self) {
-        self.digest = self.fingerprint();
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        fnv1a64(
-            serde_json::to_string(&zeroed)
-                .expect("stop decision serializes")
-                .as_bytes(),
-        )
-    }
-
-    /// Checks the content digest against the fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify_seal(&self) -> Result<(), String> {
-        if self.version != COORD_FORMAT_VERSION {
-            return Err(format!(
-                "stop decision is format v{}, this build speaks v{COORD_FORMAT_VERSION}",
-                self.version
-            ));
-        }
-        if self.digest != self.fingerprint() {
-            return Err(format!(
-                "stop decision (cell {}) digest does not match its contents — transport \
-                 corruption or tampering; the decision is rejected",
-                self.cell_index
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Whether global run position `p` is a boundary of the shard owning
 /// `run_start..run_end` under `cadence`: a cadence multiple strictly
@@ -428,7 +189,7 @@ impl LocalCoordinator {
         let mut config = CoordinatorConfig {
             version: COORD_FORMAT_VERSION,
             scenario: scenario.name.clone(),
-            scenario_digest: scenario_digest(scenario),
+            scenario_digest: scenario.digest(),
             scenario_runs: runs,
             shard_count,
             cadence,
@@ -718,6 +479,7 @@ mod tests {
     use super::*;
     use crate::experiment::ExperimentConfig;
     use crate::scenario::Workload;
+    use crate::session::StopRule;
     use bcbpt_cluster::Protocol;
 
     fn tiny(runs: usize, stop: StopRule) -> Scenario {

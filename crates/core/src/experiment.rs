@@ -261,6 +261,12 @@ pub(crate) struct RunCheckpoint<'a> {
     pub result: Option<&'a RunResult>,
     /// The folded run's failure, when it panicked instead of retiring.
     pub failure: Option<&'a RunFailure>,
+    /// Every successful run this campaign range has folded so far,
+    /// ascending by `run_index` (ends with `result` when it is `Some`) —
+    /// lent so a checkpoint writer copies them once, when it persists.
+    pub runs: &'a [RunResult],
+    /// Every run failure this campaign range has folded so far.
+    pub failures: &'a [RunFailure],
     /// Cumulative traffic over the folded prefix (warmup plus the folded
     /// runs' measurement windows) — what a checkpoint writer persists.
     pub traffic: &'a MessageStats,
@@ -337,6 +343,8 @@ impl CampaignFold<'_, '_> {
                     run_index,
                     result,
                     failure,
+                    runs: &self.runs,
+                    failures: &self.failures,
                     traffic: &self.traffic,
                     folded: &self.prefix,
                 };
@@ -361,9 +369,10 @@ pub struct ExperimentConfig {
     pub protocol: ProtocolSpec,
     /// Optional block-relay strategy, named as data (e.g. `"compact"`,
     /// `"rlnc(chunks=16)"`). Resolved against [`bcbpt_relay::registry`]
-    /// when the campaign runs; `None` keeps the legacy full-body path
-    /// with bandwidth-waste accounting off — byte-identical to builds
-    /// that predate the relay seam.
+    /// when the campaign runs and installed with bandwidth-waste
+    /// accounting armed. `None` installs nothing: blocks go through the
+    /// network's built-in full-body relay with the accounting off, and
+    /// outcomes carry no relay extension.
     pub relay: Option<bcbpt_net::RelaySpec>,
     /// Cluster-formation warmup before measurements start, ms.
     pub warmup_ms: f64,

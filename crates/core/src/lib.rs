@@ -74,6 +74,7 @@ mod session;
 mod shard;
 mod validation;
 mod warm;
+pub mod wire;
 
 pub use adversary::{
     adversarial_campaign, adversarial_campaign_in, adversarial_campaign_in_with_threads,
@@ -89,10 +90,7 @@ pub use bcbpt_adversary::AdversaryStrategy;
 /// Re-exported so scenario authors can name relay strategies without a
 /// direct `bcbpt-net` dependency.
 pub use bcbpt_net::RelaySpec;
-pub use coordinate::{
-    CoordinatorConfig, LocalCoordinator, PrefixEnvelope, StopCoordinator, StopDecision,
-    COORD_FORMAT_VERSION,
-};
+pub use coordinate::{LocalCoordinator, StopCoordinator};
 pub use degree::{degree_variance, degree_variance_table, DegreeVariance};
 pub use experiment::{cluster_sizes, CampaignResult, ExperimentConfig, RunResult};
 pub use figures::{fig3, fig4, threshold_sweep, FigureBundle};
@@ -102,20 +100,21 @@ pub use forks::{
 pub use overhead::{overhead_table, OverheadReport};
 #[cfg(feature = "fault-injection")]
 pub use resilience::fault;
-pub use resilience::{
-    CellProgress, Checkpoint, FaultPlan, PrefixTraffic, QuarantinedPart, RepairPlan, RunFailure,
-    SalvageReport,
-};
+pub use resilience::{FaultPlan, QuarantinedPart, RepairPlan, RunFailure, SalvageReport};
 pub use scenario::{
     CellOutcome, CellReport, Scenario, ScenarioCell, ScenarioOutcome, Sweep, Workload,
 };
 pub use session::{ChannelObserver, Observer, RunEvent, RunStats, ScenarioSession, StopRule};
 pub use shard::{
     checkpoint_replay_events, merge_shards, run_shard, run_shard_in, run_shard_with, salvage_merge,
-    scenario_digest, CampaignSlice, CellShard, CheckpointSink, PartialCell, PartialOutcome,
-    ShardObserver, ShardPlan, ShardRunOptions, ShardSpec, WarmSnapshot, SHARD_FORMAT_VERSION,
+    CheckpointSink, ShardObserver, ShardPlan, ShardRunOptions, ShardSpec,
 };
 pub use validation::{
     reference_samples, validate_delays, ValidationReport, KS_ACCEPT, REFERENCE_SIGMA,
 };
 pub use warm::{warm_recipe_digest, WarmCache};
+pub use wire::{
+    CampaignSlice, CellProgress, CellShard, Checkpoint, CoordinatorConfig, PartialCell,
+    PartialOutcome, PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot,
+    COORD_FORMAT_VERSION, SHARD_FORMAT_VERSION,
+};

@@ -1,6 +1,6 @@
 //! Failure model of long-running campaigns: structured run failures,
-//! digest-sealed shard checkpoints, salvage/repair planning, and a
-//! deterministic fault-injection harness.
+//! salvage/repair planning, and a deterministic fault-injection harness
+//! (the digest-sealed checkpoint itself is a [`crate::wire`] type).
 //!
 //! The campaign machinery ([`crate::shard`], [`crate::ScenarioSession`])
 //! turns the simulator into long-running distributed infrastructure, so
@@ -9,9 +9,10 @@
 //! * **A panicking run** is caught per run ([`RunFailure`]) and folded in
 //!   run-index order like any other outcome — the campaign completes and
 //!   the failure is data, byte-identical across thread counts.
-//! * **A killed shard process** resumes from a [`Checkpoint`]: the folded
-//!   prefix of its run range, digest-sealed and written atomically, so a
-//!   SIGKILL costs at most `--checkpoint-every` runs of work.
+//! * **A killed shard process** resumes from a
+//!   [`Checkpoint`](crate::Checkpoint): the folded prefix of its run
+//!   range, digest-sealed and written atomically, so a SIGKILL costs at
+//!   most `--checkpoint-every` runs of work.
 //! * **A corrupt part file** is quarantined by the salvage merge instead
 //!   of aborting the whole batch; the [`RepairPlan`] names the exact
 //!   `--shard i/N` re-runs that complete it.
@@ -19,10 +20,6 @@
 //!   behind the `fault-injection` feature drives each recovery path
 //!   deterministically in CI.
 
-use crate::experiment::RunResult;
-use crate::shard::{PartialCell, ShardPlan, WarmSnapshot, SHARD_FORMAT_VERSION};
-use bcbpt_net::MessageStats;
-use bcbpt_stats::{EcdfBuilder, StreamingSummary};
 use serde::{Deserialize, Serialize};
 
 /// A measuring run that panicked instead of retiring: the structured
@@ -230,150 +227,6 @@ pub mod fault {
                 ..
             })
         )
-    }
-}
-
-/// Measurement-window traffic of the folded prefix frozen at one
-/// coordinator checkpoint boundary. A coordinated shard records one of
-/// these per boundary it crosses so that a later stop decision (possibly
-/// delivered after a crash + resume) can truncate the window traffic to
-/// the exact prefix the decision covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PrefixTraffic {
-    /// Exclusive run-index bound of the frozen prefix (a checkpoint
-    /// position clamped into this shard's range).
-    pub upto: usize,
-    /// Measurement-window traffic (total minus warmup) of runs
-    /// `run_start..upto`.
-    pub traffic: MessageStats,
-}
-
-/// Mid-cell progress of a checkpointed shard: the folded prefix of the
-/// current campaign cell, in the same accumulator shards a
-/// [`crate::CellShard::Campaign`] carries, plus the next run index to
-/// execute. On `--resume` the shard re-warms the cell, verifies the
-/// recomputed [`WarmSnapshot`] equals `snapshot`, and continues from
-/// `next_run`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellProgress {
-    /// Index of the in-flight cell (== number of completed cells).
-    pub cell_index: usize,
-    /// Identity of the warmed-up snapshot the folded runs replayed.
-    pub snapshot: WarmSnapshot,
-    /// Folded measuring runs, ascending by `run_index`.
-    pub runs: Vec<RunResult>,
-    /// Folded run failures (panicking runs), ascending by `run_index`.
-    pub failures: Vec<RunFailure>,
-    /// Measurement-window traffic of the folded prefix (total minus
-    /// warmup) — integer counters, exact under resume.
-    pub window_traffic: MessageStats,
-    /// Pooled `Δt(m,n)` accumulator over the folded prefix.
-    pub deltas: StreamingSummary,
-    /// Per-run mean `Δt(m,n)` accumulator over the folded prefix.
-    pub run_means: StreamingSummary,
-    /// `Δt(m,n)` samples in fold order over the folded prefix.
-    pub ecdf: EcdfBuilder,
-    /// Window traffic frozen at each coordinator checkpoint boundary this
-    /// shard has crossed, ascending by `upto`. Empty for uncoordinated
-    /// runs.
-    #[serde(default)]
-    pub boundary_traffic: Vec<PrefixTraffic>,
-    /// First run index the resumed shard must execute.
-    pub next_run: usize,
-}
-
-/// A digest-sealed shard checkpoint: everything a killed shard process
-/// needs to continue from its last durable fold point and still produce a
-/// part byte-identical to an uninterrupted run.
-///
-/// Wire format (JSON, written atomically as tmp + rename):
-///
-/// | field | contents |
-/// |---|---|
-/// | `version` | [`SHARD_FORMAT_VERSION`] |
-/// | `scenario` | scenario name |
-/// | `scenario_digest` | [`crate::scenario_digest`] of the exact scenario |
-/// | `scenario_runs` | the scenario's whole `runs` budget |
-/// | `plan` | the shard's [`ShardPlan`] |
-/// | `cells_done` | completed cells, as final [`PartialCell`]s |
-/// | `current` | [`CellProgress`] of the in-flight cell (absent between cells) |
-/// | `digest` | FNV-1a over the canonical serialization with `digest` zeroed |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Shard wire-format version.
-    pub version: u32,
-    /// The scenario's name.
-    pub scenario: String,
-    /// Digest of the exact scenario the shard is running.
-    pub scenario_digest: u64,
-    /// The scenario's whole `runs` budget.
-    pub scenario_runs: usize,
-    /// The shard's coordinate and run range.
-    pub plan: ShardPlan,
-    /// Cells completed before the checkpoint, in sweep order — restored
-    /// verbatim on resume (they are final).
-    pub cells_done: Vec<PartialCell>,
-    /// The in-flight cell's folded prefix, absent at cell boundaries.
-    pub current: Option<CellProgress>,
-    /// FNV-1a content digest over the canonical serialization of every
-    /// field above (with `digest` itself zeroed).
-    pub digest: u64,
-}
-
-impl Checkpoint {
-    /// Seals the checkpoint: recomputes and stores the content digest.
-    pub fn seal(&mut self) {
-        self.digest = self.fingerprint();
-    }
-
-    /// The digest the current fields imply (with `digest` zeroed).
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        let json = serde_json::to_string(&zeroed).expect("checkpoint serializes");
-        crate::shard::fnv1a64(json.as_bytes())
-    }
-
-    /// Checks the envelope: wire-format version and content digest. A
-    /// torn or edited checkpoint file fails here — `--resume` rejects it
-    /// instead of continuing from corrupt state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify(&self) -> Result<(), String> {
-        if self.version != SHARD_FORMAT_VERSION {
-            return Err(format!(
-                "checkpoint has wire-format version {} but this binary speaks {} — \
-                 re-run the shard without --resume",
-                self.version, SHARD_FORMAT_VERSION
-            ));
-        }
-        let expected = self.fingerprint();
-        if self.digest != expected {
-            return Err(format!(
-                "checkpoint digest {:#018x} does not match its contents ({:#018x}) — the \
-                 file is torn or corrupt; delete it and re-run the shard without --resume",
-                self.digest, expected
-            ));
-        }
-        Ok(())
-    }
-
-    /// Serializes the checkpoint as indented JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("checkpoint serializes")
-    }
-
-    /// Parses a checkpoint from JSON. Parse failure is the torn-file
-    /// fast path; [`verify`](Self::verify) catches tears that still
-    /// parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid checkpoint: {e}"))
     }
 }
 

@@ -310,8 +310,8 @@ pub struct ScenarioCell {
     pub protocol: ProtocolSpec,
     /// The network size of this cell.
     pub num_nodes: usize,
-    /// The block-relay strategy of this cell (`None` keeps the legacy
-    /// full-body path with waste accounting off).
+    /// The block-relay strategy of this cell (`None` relays full bodies
+    /// with waste accounting off).
     pub relay: Option<RelaySpec>,
 }
 
@@ -342,8 +342,7 @@ pub struct Scenario {
     /// Base protocol (used when the sweep has no protocol axis).
     pub protocol: ProtocolSpec,
     /// Optional base block-relay strategy (used when the sweep has no
-    /// relay axis); `None` keeps the legacy full-body path with waste
-    /// accounting off.
+    /// relay axis); `None` relays full bodies with waste accounting off.
     pub relay: Option<RelaySpec>,
     /// What to drive the network with.
     pub workload: Workload,
@@ -462,13 +461,14 @@ impl Scenario {
     /// one more run) yields a different one. This is the key of the
     /// service's outcome store: two submissions with equal digests
     /// describe byte-identical experiments, so the stored outcome can be
-    /// replayed verbatim. Distinct by construction from the
-    /// shard-identity digest (`ShardPlan`/`PartialOutcome`), which
-    /// prefixes the shard wire-format version so checkpoint compatibility
-    /// can break without invalidating content equality.
+    /// replayed verbatim. It is also the identity every shard part,
+    /// checkpoint and coordinator envelope echoes ([`crate::wire`]): parts
+    /// merge, and a checkpoint resumes, only under the digest of the exact
+    /// scenario at hand. Wire-format skew is a separate matter, caught by
+    /// each envelope's own `version`.
     pub fn digest(&self) -> u64 {
         let json = serde_json::to_string(self).expect("scenario serializes");
-        crate::shard::fnv1a64(json.as_bytes())
+        crate::wire::fnv1a64(json.as_bytes())
     }
 
     /// Parses a scenario from JSON.
@@ -2163,22 +2163,5 @@ mod tests {
         for changed in [seed, runs, name, proto] {
             assert_ne!(changed.digest(), digest);
         }
-    }
-
-    #[test]
-    fn content_digest_and_shard_digest_move_together() {
-        // Scenario::digest is content identity; shard::scenario_digest is
-        // the same content under a wire-format-version prefix. They must
-        // disagree with each other (so a format bump cannot be confused
-        // with content equality) yet both track content changes.
-        let a = tiny(Workload::TxFlood);
-        let mut b = a.clone();
-        b.seed += 1;
-        assert_ne!(a.digest(), crate::shard::scenario_digest(&a));
-        assert_ne!(a.digest(), b.digest());
-        assert_ne!(
-            crate::shard::scenario_digest(&a),
-            crate::shard::scenario_digest(&b)
-        );
     }
 }

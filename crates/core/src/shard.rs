@@ -31,15 +31,14 @@
 //! 3. [`merge_shards`] folds the parts **in shard order** into a
 //!    [`ScenarioOutcome`] that is byte-identical to the unsharded
 //!    [`Scenario::run`] of the same scenario: run vectors
-//!    concatenate in run-index order, [`MessageStats`] counters add
-//!    exactly, and the [`StreamingSummary`]/[`EcdfBuilder`] accumulator
-//!    shards merge associatively. Envelope version, scenario digest and
-//!    warm-state digests are all checked, so parts produced by a
-//!    different scenario file, binary format or diverged warmup are
-//!    rejected instead of silently merged.
+//!    concatenate in run-index order and [`MessageStats`] counters add
+//!    exactly — a part carries nothing else to merge (see
+//!    [`crate::wire`]). Envelope version, scenario digest and warm-state
+//!    digests are all checked, so parts produced by a different scenario
+//!    file, binary format or diverged warmup are rejected instead of
+//!    silently merged.
 //!
-//! **Every workload shards.** Format v3 drops the old shard-0-only
-//! "deferred" escape hatch; each workload family has a sharding mode:
+//! **Every workload shards**; each workload family has a sharding mode:
 //!
 //! - *Streaming* campaigns (tx-flood, churn-burst, overhead-probe) split
 //!   by run range as above — one [`CampaignSlice`] per shard.
@@ -58,7 +57,7 @@
 //!
 //! An adaptive [`StopRule`](crate::StopRule) depends on the folded prefix
 //! of *all* runs. Shard 0/1 sees them all and drives the rule itself at
-//! every fold (recording the stop in the slice's `runs_used`/`stop_at`);
+//! every fold (recording the stop in the slice's `stop_at`);
 //! one shard of several cannot, so plain sharded execution **rejects**
 //! the scenario — but a fleet may attach a
 //! [`StopCoordinator`](crate::coordinate) via
@@ -88,57 +87,26 @@
 //! ```
 
 use crate::adversary::{assemble_report, WarmInfiltration};
-use crate::coordinate::{
-    is_shard_boundary, PrefixEnvelope, StopCoordinator, StopDecision, COORD_FORMAT_VERSION,
-};
-use crate::experiment::{CampaignResult, ExperimentConfig, FoldedPrefix, RunCheckpoint, RunResult};
+use crate::coordinate::{is_shard_boundary, StopCoordinator};
+use crate::experiment::{CampaignResult, FoldedPrefix, RunCheckpoint, RunResult};
 use crate::forks::{fork_report_from_runs, mine_range, mining_warm, ForkRun};
 use crate::overhead::OverheadReport;
-use crate::resilience::{
-    CellProgress, Checkpoint, PrefixTraffic, QuarantinedPart, RepairPlan, RunFailure, SalvageReport,
-};
+use crate::resilience::{QuarantinedPart, RepairPlan, RunFailure, SalvageReport};
 use crate::scenario::{CellOutcome, CellReport, Scenario, ScenarioCell, ScenarioOutcome, Workload};
 use crate::session::{RunEvent, RunStats, StopRule};
 use crate::warm::WarmCache;
+use crate::wire::{
+    CampaignSlice, CellProgress, CellShard, Checkpoint, PartialCell, PartialOutcome,
+    PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot, COORD_FORMAT_VERSION,
+    SHARD_FORMAT_VERSION,
+};
 use bcbpt_adversary::AdversaryForce;
 use bcbpt_cluster::ProtocolRegistry;
 use bcbpt_net::{MessageStats, Network};
-use bcbpt_stats::{EcdfBuilder, StreamingSummary};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Version of the shard wire format ([`WarmSnapshot`], [`PartialOutcome`]
-/// and [`Checkpoint`] envelopes). Bumped whenever their serialized shape
-/// or the digest recipe changes; [`merge_shards`] refuses parts from any
-/// other version. Version 2 added per-part content digests and the
-/// `failures` stream (panic isolation). Version 3 replaced the
-/// shard-0-only `Whole`/`Deferred` cells with sharded paired, mining and
-/// replicated variants, and added coordinated-stop truncation metadata
-/// (`stop_at`, per-boundary traffic snapshots in checkpoints).
-pub const SHARD_FORMAT_VERSION: u32 = 3;
-
-/// FNV-1a over `bytes` — the content-digest primitive of the shard
-/// protocol (stable, dependency-free, and plenty for integrity checks;
-/// this is corruption/mismatch detection, not cryptography).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Digest of a scenario under the current shard format: every
-/// [`PartialOutcome`] carries it, and [`merge_shards`] refuses to combine
-/// parts whose digests differ — shards must have run the *same* scenario,
-/// not merely scenarios with the same name.
-pub fn scenario_digest(scenario: &Scenario) -> u64 {
-    let json = serde_json::to_string(scenario).expect("scenario serializes");
-    fnv1a64(format!("{SHARD_FORMAT_VERSION}\n{json}").as_bytes())
-}
 
 /// Which shard of how many — the `--shard i/N` coordinate a shard process
 /// is launched with.
@@ -257,6 +225,14 @@ impl ShardPlan {
         self.run_start..self.run_end
     }
 
+    /// The part of [`run_range`](Self::run_range) a cell stopped at the
+    /// global run index `stop_at` keeps: everything below it (`None` =
+    /// the whole range; empty when the stop lies before this shard).
+    pub(crate) fn kept_range(&self, stop_at: Option<usize>) -> Range<usize> {
+        let end = stop_at.map_or(self.run_end, |s| s.clamp(self.run_start, self.run_end));
+        self.run_start..end
+    }
+
     /// Number of runs this shard executes.
     pub fn len(&self) -> usize {
         self.run_end - self.run_start
@@ -265,323 +241,6 @@ impl ShardPlan {
     /// `true` when this shard executes no runs (more shards than runs).
     pub fn is_empty(&self) -> bool {
         self.run_start == self.run_end
-    }
-}
-
-/// The serialized identity of one cell's warmed-up snapshot.
-///
-/// The actual warm state (topology, cluster membership, pending events,
-/// RNG positions) is never shipped: it is *replayed* — every shard
-/// rebuilds `Network::build(net, policy, seed)` and warms it for
-/// `warmup_ms`, which is deterministic, so all shards converge on the
-/// same state. What travels in the envelope is the recipe plus a content
-/// digest over the warmed state's observable fingerprint (online count,
-/// warmup traffic counters, cluster sizes). [`merge_shards`] requires
-/// every shard's snapshot of a cell to be identical and digest-valid, so
-/// a shard built by a different binary, scenario or diverged warmup is
-/// rejected instead of silently corrupting the merge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarmSnapshot {
-    /// Shard wire-format version ([`SHARD_FORMAT_VERSION`]).
-    pub version: u32,
-    /// Protocol label of the cell (e.g. `"bcbpt(dt=25ms)"`).
-    pub protocol: String,
-    /// Network size the cell ran at.
-    pub num_nodes: usize,
-    /// Campaign master seed.
-    pub seed: u64,
-    /// Warmup duration that produced the snapshot, ms.
-    pub warmup_ms: f64,
-    /// Measurement window each run will simulate, ms.
-    pub window_ms: f64,
-    /// Online population at the end of warmup.
-    pub online: usize,
-    /// Traffic counters of the warmup phase — byte-exact across shards.
-    pub warmup_traffic: MessageStats,
-    /// Cluster sizes at the end of warmup, descending (empty for
-    /// non-clustering protocols).
-    pub cluster_sizes: Vec<usize>,
-    /// FNV-1a content digest over the canonical serialization of every
-    /// field above (with `digest` itself zeroed).
-    pub digest: u64,
-}
-
-impl WarmSnapshot {
-    /// Captures the envelope of `cfg`'s warmed-up network.
-    pub fn capture(cfg: &ExperimentConfig, warmed: &Network) -> Self {
-        let mut snapshot = WarmSnapshot {
-            version: SHARD_FORMAT_VERSION,
-            protocol: cfg.protocol.to_string(),
-            num_nodes: cfg.net.num_nodes,
-            seed: cfg.seed,
-            warmup_ms: cfg.warmup_ms,
-            window_ms: cfg.window_ms,
-            online: warmed.online_count(),
-            warmup_traffic: warmed.stats().clone(),
-            cluster_sizes: crate::experiment::cluster_sizes(warmed),
-            digest: 0,
-        };
-        snapshot.digest = snapshot.fingerprint();
-        snapshot
-    }
-
-    /// The digest the current fields imply (with `digest` zeroed).
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        let json = serde_json::to_string(&zeroed).expect("snapshot serializes");
-        fnv1a64(json.as_bytes())
-    }
-
-    /// Checks the envelope: version must match the running binary's
-    /// format, and the digest must match the fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify(&self) -> Result<(), String> {
-        if self.version != SHARD_FORMAT_VERSION {
-            return Err(format!(
-                "warm snapshot has wire-format version {} but this binary speaks {} — \
-                 re-run the shards with a matching binary",
-                self.version, SHARD_FORMAT_VERSION
-            ));
-        }
-        let expected = self.fingerprint();
-        if self.digest != expected {
-            return Err(format!(
-                "warm snapshot digest {:#018x} does not match its contents ({:#018x}) — \
-                 the part file is corrupt or was edited",
-                self.digest, expected
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// One shard's slice of one measuring-run campaign: the runs of the
-/// shard's (possibly stop-truncated) range plus the folded accumulator
-/// shards. Streaming cells carry one; paired adversarial cells carry two
-/// (clean and attacked).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignSlice {
-    /// Identity of the warmed-up snapshot the runs replayed.
-    pub snapshot: WarmSnapshot,
-    /// This shard's measuring runs, ascending by `run_index`.
-    pub runs: Vec<RunResult>,
-    /// Runs in this shard's range that panicked (caught per run),
-    /// ascending by `run_index`, disjoint from `runs`.
-    pub failures: Vec<RunFailure>,
-    /// Sum of the kept range's measurement-window traffic (total minus
-    /// warmup) — integer counters, so cross-shard merge is exact.
-    pub window_traffic: MessageStats,
-    /// Pooled `Δt(m,n)` accumulator folded over the kept range.
-    pub deltas: StreamingSummary,
-    /// Per-run mean `Δt(m,n)` accumulator folded over the kept range.
-    pub run_means: StreamingSummary,
-    /// `Δt(m,n)` samples in arrival (= run-index fold) order; merging
-    /// shard builders in shard order reproduces the batch sample
-    /// stream exactly.
-    pub ecdf: EcdfBuilder,
-    /// Run indices this shard kept: its full planned range, or the
-    /// coordinator-truncated prefix of it.
-    pub runs_used: usize,
-    /// The coordinator's global stop index, when a coordinated run
-    /// stopped early: runs `>= stop_at` were truncated away on every
-    /// shard. `None` for uncoordinated runs and full-budget decisions.
-    /// The merge requires all shards to agree.
-    pub stop_at: Option<usize>,
-}
-
-/// One cell's contribution to a [`PartialOutcome`].
-// One value per cell, built once and serialized immediately — the size
-// skew between `Paired` and the rest never multiplies across a hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum CellShard {
-    /// A streaming campaign cell's run-range slice.
-    Campaign {
-        /// The shard's slice.
-        slice: CampaignSlice,
-    },
-    /// A paired adversarial campaign cell's run-range slices: every shard
-    /// runs its range of *both* campaigns (clean baseline under an inert
-    /// force, attacked under the real one) off the same warmed snapshots
-    /// `adversarial_campaign` uses, plus the warm-time infiltration
-    /// measurements (identical on every shard — the merge checks).
-    Paired {
-        /// The clean (inert-force) campaign's slice.
-        clean: CampaignSlice,
-        /// The attacked campaign's slice.
-        attacked: CampaignSlice,
-        /// Warm-time infiltration of the attacked campaign.
-        infiltration: WarmInfiltration,
-        /// Warm-time infiltration of the clean baseline.
-        clean_infiltration: WarmInfiltration,
-    },
-    /// A replicated-mining cell's run-range slice: this shard's mining
-    /// runs off the shared warmed snapshot.
-    Mining {
-        /// Identity of the warmed-up snapshot the runs replayed.
-        snapshot: WarmSnapshot,
-        /// The relay spec label, when the cell installs one (rides along
-        /// because the snapshot envelope does not carry it).
-        relay: Option<String>,
-        /// This shard's mining runs, ascending by `run_index`.
-        runs: Vec<ForkRun>,
-        /// Run indices this shard consumed (its full planned range).
-        runs_used: usize,
-    },
-    /// A single-shot cell (partition, eclipse, legacy `runs: 0` mining)
-    /// executed whole on *every* shard: the runs are deterministic, so
-    /// all copies agree, and the merge verifies byte-identity before
-    /// keeping shard 0's.
-    Replicated {
-        /// The cell's complete report.
-        report: CellReport,
-    },
-    /// The cell failed at run time on this shard; the merge surfaces the
-    /// error as a [`CellReport::Failed`].
-    Failed {
-        /// The run-time error.
-        error: String,
-    },
-}
-
-/// Label and environment of one cell inside a [`PartialOutcome`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PartialCell {
-    /// Cell label (protocol, plus `@n=…` on a size sweep).
-    pub label: String,
-    /// The protocol spec the cell ran.
-    pub protocol: String,
-    /// Network size the cell ran at.
-    pub num_nodes: usize,
-    /// This shard's contribution.
-    pub part: CellShard,
-}
-
-/// One shard's serialized result: what `scenario shard run` writes and
-/// `scenario shard merge` consumes.
-///
-/// The wire format is JSON with this field layout (see `ARCHITECTURE.md`
-/// for the full table):
-///
-/// | field | contents |
-/// |---|---|
-/// | `version` | [`SHARD_FORMAT_VERSION`] |
-/// | `scenario` | scenario name |
-/// | `scenario_digest` | [`scenario_digest`] of the exact scenario run |
-/// | `workload` | the scenario's [`Workload`] (echoed for self-description) |
-/// | `scenario_runs` | the scenario's whole `runs` budget |
-/// | `plan` | this shard's [`ShardPlan`] — must equal the plan recomputed from `(scenario_runs, shard_index, shard_count)` |
-/// | `cells` | one [`PartialCell`] per sweep cell, in sweep order |
-/// | `digest` | FNV-1a over the canonical serialization with `digest` zeroed |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PartialOutcome {
-    /// Shard wire-format version.
-    pub version: u32,
-    /// The scenario's name.
-    pub scenario: String,
-    /// Digest of the exact scenario the shard ran.
-    pub scenario_digest: u64,
-    /// The workload that ran.
-    pub workload: Workload,
-    /// The scenario's whole `runs` budget. Plans are deterministic, so
-    /// the merge recomputes every shard's range from this and refuses a
-    /// part whose `plan` disagrees — a lone part edited to claim it *is*
-    /// the whole campaign cannot silently truncate the merge.
-    pub scenario_runs: usize,
-    /// This shard's coordinate and run range.
-    pub plan: ShardPlan,
-    /// Per-cell contributions, in sweep order.
-    pub cells: Vec<PartialCell>,
-    /// FNV-1a content digest over the canonical serialization of every
-    /// field above (with `digest` itself zeroed). Covers the *whole*
-    /// part — run streams and accumulators included — so any byte of
-    /// on-disk corruption that still parses is caught before it merges.
-    pub digest: u64,
-}
-
-impl PartialOutcome {
-    /// Serializes the part as indented JSON (the `shard run --out` format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("partial outcome serializes")
-    }
-
-    /// Parses a part from JSON. Parsing does not verify the content
-    /// digest; [`merge_shards`]/[`salvage_merge`] call
-    /// [`verify_seal`](Self::verify_seal).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid shard part: {e}"))
-    }
-
-    /// Seals the part: recomputes and stores the content digest. Called
-    /// by [`run_shard_in`]; tests that deliberately edit a part re-seal
-    /// it to reach the deeper consistency checks.
-    pub fn seal(&mut self) {
-        self.digest = self.fingerprint();
-    }
-
-    /// The digest the current fields imply (with `digest` zeroed).
-    fn fingerprint(&self) -> u64 {
-        let mut zeroed = self.clone();
-        zeroed.digest = 0;
-        let json = serde_json::to_string(&zeroed).expect("partial outcome serializes");
-        fnv1a64(json.as_bytes())
-    }
-
-    /// Checks the part's content digest against its fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch.
-    pub fn verify_seal(&self) -> Result<(), String> {
-        let expected = self.fingerprint();
-        if self.digest != expected {
-            return Err(format!(
-                "part digest {:#018x} does not match its contents ({:#018x}) — the part \
-                 file is corrupt or was edited; re-run this shard",
-                self.digest, expected
-            ));
-        }
-        Ok(())
-    }
-
-    /// Total run indices this shard consumed across its range-sharded
-    /// cells (metadata; replicated cells contribute 0, paired cells count
-    /// both campaigns).
-    pub fn runs_used(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|cell| match &cell.part {
-                CellShard::Campaign { slice } => slice.runs_used,
-                CellShard::Paired {
-                    clean, attacked, ..
-                } => clean.runs_used + attacked.runs_used,
-                CellShard::Mining { runs_used, .. } => *runs_used,
-                CellShard::Replicated { .. } | CellShard::Failed { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Per-cell coordinator stop indices, in sweep order: `Some(S)` for a
-    /// streaming cell truncated by a coordinated stop decision, `None`
-    /// otherwise. A service restoring a partially completed coordinated
-    /// job pre-seeds a fresh coordinator from a finished part's values so
-    /// resumed shards stay consistent with completed ones.
-    pub fn cell_stop_indices(&self) -> Vec<Option<usize>> {
-        self.cells
-            .iter()
-            .map(|cell| match &cell.part {
-                CellShard::Campaign { slice } => slice.stop_at,
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -737,7 +396,7 @@ pub fn run_shard_in(
 /// # Errors
 ///
 /// Everything [`run_shard`] rejects, plus: a resume checkpoint that fails
-/// [`Checkpoint::verify`] or does not match this scenario and shard
+/// [`Sealed::verify_seal`] or does not match this scenario and shard
 /// coordinate; a re-warmed snapshot that diverges from the checkpoint's;
 /// and a sink write failure (the run aborts — progress past a checkpoint
 /// that cannot be persisted would be silently lost on the next crash).
@@ -786,7 +445,7 @@ pub(crate) fn run_unsharded(
 /// The one scenario executor: validates, plans `spec`'s run range, and runs
 /// every cell of the sweep through its workload's shard mode, streaming
 /// [`RunEvent`]s, checkpointing and coordinating as `options` ask. Returns
-/// the plan, the scenario's shard digest and what it kept of each cell:
+/// the plan, the scenario's digest and what it kept of each cell:
 /// the wire parts a shard process seals into its [`PartialOutcome`], or
 /// (`in_process`) each cell's one-part merge instead.
 fn execute(
@@ -798,7 +457,7 @@ fn execute(
 ) -> Result<(ShardPlan, u64, Vec<PartialCell>, Vec<CellOutcome>), String> {
     scenario.validate_in(registry)?;
     let mode = shard_mode(scenario);
-    let digest = scenario_digest(scenario);
+    let digest = scenario.digest();
     let adaptive = scenario.stop.filter(StopRule::is_adaptive);
     if let Some(stop) = &adaptive {
         if spec.count > 1 && options.coordinator.is_none() {
@@ -944,7 +603,7 @@ fn execute(
         if in_process {
             // Straight to the per-cell merge: the outcome is both what the
             // run keeps and what the closing event carries.
-            let (runs_used, stopped_early) = cell_usage(&part, planned_runs);
+            let (runs_used, stopped_early) = cell_usage(plan, &part, planned_runs);
             let outcome = merge_cell_shards(
                 vec![(plan, part)],
                 &scenario.workload,
@@ -1038,12 +697,15 @@ fn planned_runs(scenario: &Scenario) -> usize {
 
 /// What a finished cell's closing event says about its budget, read off
 /// the part before the merge consumes it: the run indices it kept — the
-/// slice's `runs_used` for a streaming cell (so a stopped cell reports the
-/// prefix it kept), the planned budget for every other mode — and whether
-/// a stop rule, coordinated or local, cut it short.
-fn cell_usage(part: &CellShard, planned_runs: usize) -> (usize, bool) {
+/// plan's range cut at the slice's stop index for a streaming cell (so a
+/// stopped cell reports the prefix it kept), the planned budget for every
+/// other mode — and whether a stop rule, coordinated or local, cut it short.
+fn cell_usage(plan: ShardPlan, part: &CellShard, planned_runs: usize) -> (usize, bool) {
     match part {
-        CellShard::Campaign { slice } => (slice.runs_used, slice.stop_at.is_some()),
+        CellShard::Campaign { slice } => {
+            let kept = plan.kept_range(slice.stop_at);
+            (kept.len(), slice.stop_at.is_some())
+        }
         _ => (planned_runs, false),
     }
 }
@@ -1078,7 +740,7 @@ fn part_closing_event(
     workload: &Workload,
     planned_runs: usize,
 ) -> Result<RunEvent, String> {
-    let (runs_used, stopped_early) = cell_usage(&done.part, planned_runs);
+    let (runs_used, stopped_early) = cell_usage(plan, &done.part, planned_runs);
     let outcome = merge_cell_shards(
         vec![(plan, done.part.clone())],
         workload,
@@ -1099,7 +761,7 @@ fn part_closing_event(
 ///
 /// # Errors
 ///
-/// Rejects a checkpoint that fails [`Checkpoint::verify`] or does not
+/// Rejects a checkpoint that fails [`Sealed::verify_seal`] or does not
 /// belong to `scenario` (same checks as resuming through
 /// [`run_shard_with`]).
 pub fn checkpoint_replay_events(
@@ -1107,7 +769,7 @@ pub fn checkpoint_replay_events(
     checkpoint: &Checkpoint,
 ) -> Result<Vec<RunEvent>, String> {
     let plan = checkpoint.plan;
-    let digest = scenario_digest(scenario);
+    let digest = scenario.digest();
     let all_cells = scenario.cells();
     let mode = shard_mode(scenario);
     let (cells_done, current) =
@@ -1126,7 +788,7 @@ pub fn checkpoint_replay_events(
             replay_run_events(
                 &mut events,
                 cell_index,
-                plan.run_start..plan.run_start + slice.runs_used,
+                plan.kept_range(slice.stop_at),
                 &slice.runs,
                 &slice.failures,
             );
@@ -1252,7 +914,7 @@ fn validate_resume(
     cells: &[ScenarioCell],
     mode: ShardMode,
 ) -> Result<(Vec<PartialCell>, Option<CellProgress>), String> {
-    checkpoint.verify()?;
+    checkpoint.verify_seal()?;
     if checkpoint.scenario != scenario.name || checkpoint.scenario_digest != digest {
         return Err(format!(
             "checkpoint belongs to scenario {:?} (digest {:#018x}), not {:?} (digest \
@@ -1322,7 +984,7 @@ fn validate_resume(
                 progress.next_run, plan.run_start, plan.run_end
             ));
         }
-        progress.snapshot.verify()?;
+        progress.snapshot.verify_seal()?;
         for (what, indices) in [
             (
                 "runs",
@@ -1377,32 +1039,12 @@ fn validate_resume(
     Ok((checkpoint.cells_done, checkpoint.current))
 }
 
-/// Replays the accumulator fold over a run vector, in run-index order —
-/// bit-identical to the incremental fold the campaign performed. Resume
-/// recomputes accumulators from the concatenated run stream instead of
-/// Welford-merging across the crash boundary (the parallel combine is
-/// not bit-exact; replaying the fold is), so an interrupted-and-resumed
-/// shard's part equals an uninterrupted shard's byte for byte.
-fn fold_accumulators(runs: &[RunResult]) -> (StreamingSummary, StreamingSummary, EcdfBuilder) {
-    let mut deltas = StreamingSummary::new();
-    let mut run_means = StreamingSummary::new();
-    let mut ecdf = EcdfBuilder::new();
-    for run in runs {
-        deltas.extend(run.deltas_ms.iter().copied());
-        if let Some(mean) = crate::experiment::run_mean_delta(run) {
-            run_means.record(mean);
-        }
-        ecdf.extend(run.deltas_ms.iter().copied());
-    }
-    (deltas, run_means, ecdf)
-}
-
 /// Runs one campaign cell's shard range: rebuild + warm the snapshot,
 /// execute only the (possibly resumed) remainder of `plan.run_range()`,
-/// fold the accumulators in run-index order, and persist a sealed
-/// [`Checkpoint`] through `sink` every `checkpoint_every` folds. An
-/// empty range still warms the cell — the snapshot digest is this
-/// shard's proof that it agrees on the warmed state.
+/// and persist a sealed [`Checkpoint`] through `sink` every
+/// `checkpoint_every` folds. An empty range still warms the cell — the
+/// snapshot digest is this shard's proof that it agrees on the warmed
+/// state.
 ///
 /// With `coordination`, the shard additionally submits a sealed
 /// folded-prefix envelope at every cadence boundary it crosses, freezes
@@ -1414,7 +1056,7 @@ fn fold_accumulators(runs: &[RunResult]) -> (StreamingSummary, StreamingSummary,
 ///
 /// With `local_stop` (plan 0/1, no coordinator) the shard sees every run,
 /// so it drives the rule itself at every fold and records where it fired
-/// in the slice's `runs_used` / `stop_at`, like a coordinated decision.
+/// in the slice's `stop_at`, like a coordinated decision.
 #[allow(clippy::too_many_arguments)]
 fn run_cell_shard(
     scenario: &Scenario,
@@ -1523,10 +1165,7 @@ fn run_cell_shard(
         .as_ref()
         .and_then(|d| d.stop_at)
         .or(local_stop_at);
-    let planned_end = match stop_known {
-        Some(s) => plan.run_end.min(s.max(plan.run_start)),
-        None => plan.run_end,
-    };
+    let planned_end = plan.kept_range(stop_known).end;
     // The warm inspection (main thread, before runs fan out) fills this
     // slot; the control hook (under the fold lock, possibly on a worker)
     // reads it for every mid-cell checkpoint — hence the mutex.
@@ -1534,8 +1173,6 @@ fn run_cell_shard(
     let mut inspect = |net: &Network| {
         *snapshot_slot.lock().expect("snapshot slot") = Some(WarmSnapshot::capture(&cfg, net));
     };
-    let mut seen_runs: Vec<RunResult> = Vec::new();
-    let mut seen_failures: Vec<RunFailure> = Vec::new();
     let mut sink_error: Option<String> = None;
     let mut coord_error: Option<String> = None;
     let mut control = |checkpoint: &RunCheckpoint<'_>| {
@@ -1589,24 +1226,18 @@ fn run_cell_shard(
                 }
             }
         }
-        if sink.is_some() {
-            if let Some(result) = checkpoint.result {
-                seen_runs.push(result.clone());
-            }
-            if let Some(failure) = checkpoint.failure {
-                seen_failures.push(failure.clone());
-            }
-            let folded_here = upto - start_run;
-            if folded_here.is_multiple_of(checkpoint_every) {
+        if let Some(sink) = sink.as_mut() {
+            if (upto - start_run).is_multiple_of(checkpoint_every) {
                 let snapshot_guard = snapshot_slot.lock().expect("snapshot slot");
                 let snapshot = snapshot_guard
                     .as_ref()
                     .expect("warm inspection runs before folds");
+                // The resumed prefix plus what this process folded since —
+                // lent by the fold, so this is the only copy made.
                 let mut runs = prefix_runs.clone();
-                runs.extend(seen_runs.iter().cloned());
+                runs.extend_from_slice(checkpoint.runs);
                 let mut failures = prefix_failures.clone();
-                failures.extend(seen_failures.iter().cloned());
-                let (deltas, run_means, ecdf) = fold_accumulators(&runs);
+                failures.extend_from_slice(checkpoint.failures);
                 let mut window_traffic = prefix_window.clone();
                 window_traffic.merge(&checkpoint.traffic.since(&snapshot.warmup_traffic));
                 let progress = CellProgress {
@@ -1615,26 +1246,16 @@ fn run_cell_shard(
                     runs,
                     failures,
                     window_traffic,
-                    deltas,
-                    run_means,
-                    ecdf,
                     boundary_traffic: boundary_traffic.clone(),
                     next_run: upto,
                 };
                 drop(snapshot_guard);
-                if let Some(sink) = sink.as_mut() {
-                    let done = cells_done.to_vec();
-                    if let Err(e) = write_checkpoint(
-                        sink,
-                        scenario,
-                        scenario_digest,
-                        plan,
-                        done,
-                        Some(progress),
-                    ) {
-                        sink_error = Some(e);
-                        stop = true;
-                    }
+                let done = cells_done.to_vec();
+                if let Err(e) =
+                    write_checkpoint(sink, scenario, scenario_digest, plan, done, Some(progress))
+                {
+                    sink_error = Some(e);
+                    stop = true;
                 }
             }
         }
@@ -1688,7 +1309,6 @@ fn run_cell_shard(
     // A local rule that fired on the last planned run consumed the whole
     // budget: not an early stop.
     let mut stop_at = local_stop_at.filter(|&s| s < plan.run_end);
-    let mut runs_used = stop_at.map_or(plan.len(), |s| s - plan.run_start);
     if let Some((coordinator, _)) = coordination {
         // The end-of-cell barrier: no shard finalizes a slice until the
         // cell's stop decision exists, so every part in the fleet agrees
@@ -1703,46 +1323,39 @@ fn run_cell_shard(
             }
         };
         stop_at = decision.stop_at;
-        if let Some(s) = decision.stop_at {
-            let effective_end = plan.run_end.min(s.max(plan.run_start));
-            if effective_end < plan.run_end {
-                crate::obs::coord_runs_saved_total().add((plan.run_end - effective_end) as u64);
-            }
-            runs.retain(|r| r.run_index < effective_end);
-            failures.retain(|f| f.run_index < effective_end);
-            if effective_end <= plan.run_start {
-                window_traffic = MessageStats::new();
-            } else if effective_end < plan.run_end {
-                // `s` is a cadence boundary inside this shard's range, so
-                // the window traffic was frozen when the fold crossed it
-                // (live above, or in the checkpoint a resume restored).
-                window_traffic = boundary_traffic
+        let kept_end = plan.kept_range(stop_at).end;
+        if kept_end < plan.run_end {
+            crate::obs::coord_runs_saved_total().add((plan.run_end - kept_end) as u64);
+            runs.retain(|r| r.run_index < kept_end);
+            failures.retain(|f| f.run_index < kept_end);
+            window_traffic = if kept_end == plan.run_start {
+                MessageStats::new()
+            } else {
+                // The stop index is a cadence boundary inside this shard's
+                // range, so the window traffic was frozen when the fold
+                // crossed it (live above, or in the checkpoint a resume
+                // restored).
+                boundary_traffic
                     .iter()
-                    .find(|b| b.upto == effective_end)
+                    .find(|b| b.upto == kept_end)
                     .map(|b| b.traffic.clone())
                     .ok_or_else(|| {
                         CellError::Fatal(format!(
-                            "cell {:?}: no frozen window traffic for stop index \
-                             {effective_end} — coordinator cadence disagrees with the \
-                             boundaries this shard crossed",
+                            "cell {:?}: no frozen window traffic for stop index {kept_end} — \
+                             coordinator cadence disagrees with the boundaries this shard \
+                             crossed",
                             cell.label
                         ))
-                    })?;
-            }
-            runs_used = effective_end - plan.run_start;
+                    })?
+            };
         }
     }
-    let (deltas, run_means, ecdf) = fold_accumulators(&runs);
     Ok(CellShard::Campaign {
         slice: CampaignSlice {
             snapshot,
             runs,
             failures,
             window_traffic,
-            deltas,
-            run_means,
-            ecdf,
-            runs_used,
             stop_at,
         },
     })
@@ -1751,9 +1364,9 @@ fn run_cell_shard(
 /// Runs one paired adversarial cell's shard range: warm the cell twice
 /// from the same recipe — once clean (an inert adversary force, so node
 /// count and RNG consumption match the attacked side exactly), once with
-/// the live attacker — execute only `plan.run_range()` on each side, and
-/// fold each side's accumulators in run-index order. The clean side runs
-/// first, matching `adversarial_campaign_in_with_threads`' order.
+/// the live attacker — and execute only `plan.run_range()` on each side.
+/// The clean side runs first, matching
+/// `adversarial_campaign_in_with_threads`' order.
 fn run_paired_cell_shard(
     scenario: &Scenario,
     registry: &ProtocolRegistry,
@@ -1795,7 +1408,6 @@ fn run_paired_cell_shard(
             .into_inner()
             .expect("snapshot slot")
             .expect("warm inspection runs before measuring");
-        let (deltas, run_means, ecdf) = fold_accumulators(&campaign.runs);
         let window_traffic = campaign.traffic.since(&campaign.warmup_traffic);
         Ok((
             CampaignSlice {
@@ -1803,10 +1415,6 @@ fn run_paired_cell_shard(
                 runs: campaign.runs,
                 failures: campaign.failures,
                 window_traffic,
-                deltas,
-                run_means,
-                ecdf,
-                runs_used: plan.len(),
                 stop_at: None,
             },
             infiltration,
@@ -1868,7 +1476,6 @@ fn run_mining_cell_shard(
         snapshot,
         relay: cfg.relay.as_ref().map(|r| r.to_string()),
         runs,
-        runs_used: plan.len(),
     })
 }
 
@@ -1880,15 +1487,16 @@ fn run_mining_cell_shard(
 ///
 /// # Errors
 ///
-/// Rejects: an empty part list; wire-format version mismatches; parts
-/// from different scenarios (name or [`scenario_digest`]) or disagreeing
-/// on the `runs` budget; inconsistent shard counts; parts passed out of
-/// shard order, missing or duplicated; a part whose plan differs from
-/// the one recomputed from `(scenario_runs, shard_index, shard_count)` —
-/// so an edited lone part cannot pose as a whole campaign; per-cell
-/// warm-snapshot mismatches (shards that warmed to different states);
-/// runs outside their shard's range or out of order; and accumulator
-/// shards whose counts disagree with the concatenated run stream.
+/// Rejects: an empty part list; a part that fails
+/// [`Sealed::verify_seal`] (wire-format version skew, or a digest that
+/// does not match the contents); parts from different scenarios (name or
+/// [`Scenario::digest`]) or disagreeing on the `runs` budget;
+/// inconsistent shard counts; parts passed out of shard order, missing
+/// or duplicated; a part whose plan differs from the one recomputed from
+/// `(scenario_runs, shard_index, shard_count)` — so an edited lone part
+/// cannot pose as a whole campaign; per-cell warm-snapshot mismatches
+/// (shards that warmed to different states); and runs outside their
+/// shard's kept range or out of order.
 pub fn merge_shards(mut parts: Vec<PartialOutcome>) -> Result<ScenarioOutcome, String> {
     let first = parts
         .first()
@@ -1908,12 +1516,6 @@ pub fn merge_shards(mut parts: Vec<PartialOutcome>) -> Result<ScenarioOutcome, S
     let verify_span = bcbpt_obs::span("merge_verify");
     let verify_timer = std::time::Instant::now();
     for (position, part) in parts.iter().enumerate() {
-        if part.version != SHARD_FORMAT_VERSION {
-            return Err(format!(
-                "part for shard {} has wire-format version {} but this binary speaks {}",
-                part.plan.shard_index, part.version, SHARD_FORMAT_VERSION
-            ));
-        }
         part.verify_seal()
             .map_err(|e| format!("part for shard {}: {e}", part.plan.shard_index))?;
         if part.scenario != scenario || part.scenario_digest != scenario_digest {
@@ -2057,7 +1659,7 @@ fn agree_on_snapshot(
     plan: ShardPlan,
 ) -> Result<(), String> {
     snapshot
-        .verify()
+        .verify_seal()
         .map_err(|e| format!("cell {label:?}, shard {}: {e}", plan.shard_index))?;
     match agreed {
         Some(reference) if *reference != snapshot => Err(format!(
@@ -2076,32 +1678,23 @@ fn agree_on_snapshot(
 
 /// Folds the campaign slices of one cell, shard by shard in shard order —
 /// the cross-process continuation of the in-process `CampaignFold`: run
-/// vectors concatenate (moved, not cloned) in run-index order, integer
-/// traffic counters add, and the accumulator shards merge in the same
-/// order they folded. Returns the reassembled campaign plus the stop
-/// index every slice agreed on (`None` when uncoordinated).
+/// vectors concatenate (moved, not cloned) in run-index order and integer
+/// traffic counters add. Every slice must carry the same stop index.
 fn merge_slices(
     shards: Vec<(ShardPlan, CampaignSlice)>,
     label: &str,
-) -> Result<(CampaignResult, Option<usize>), String> {
+) -> Result<CampaignResult, String> {
     let mut snapshot: Option<WarmSnapshot> = None;
     let mut stop_at: Option<Option<usize>> = None;
     let mut runs: Vec<RunResult> = Vec::new();
     let mut failures: Vec<RunFailure> = Vec::new();
     let mut window_sum = MessageStats::new();
-    let mut merged_deltas = StreamingSummary::new();
-    let mut merged_run_means = StreamingSummary::new();
-    let mut merged_ecdf = EcdfBuilder::new();
     for (plan, slice) in shards {
         let CampaignSlice {
             snapshot: shard_snapshot,
             runs: shard_runs,
             failures: shard_failures,
             window_traffic,
-            deltas,
-            run_means,
-            ecdf,
-            runs_used,
             stop_at: shard_stop,
         } = slice;
         agree_on_snapshot(&mut snapshot, shard_snapshot, label, plan)?;
@@ -2123,19 +1716,7 @@ fn merge_slices(
             }
         }
         let range = plan.run_range();
-        let effective_end = match shard_stop {
-            Some(s) => plan.run_end.min(s.max(plan.run_start)),
-            None => plan.run_end,
-        };
-        if runs_used != effective_end - plan.run_start {
-            return Err(format!(
-                "cell {label:?}: shard {} claims {runs_used} run(s) used but its effective \
-                 range {}..{effective_end} holds {} — the part file is inconsistent",
-                plan.shard_index,
-                plan.run_start,
-                effective_end - plan.run_start
-            ));
-        }
+        let effective_end = plan.kept_range(shard_stop).end;
         let mut prev: Option<usize> = None;
         for run in shard_runs.iter() {
             if !range.contains(&run.run_index) {
@@ -2182,43 +1763,11 @@ fn merge_slices(
         runs.extend(shard_runs);
         failures.extend(shard_failures);
         window_sum.merge(&window_traffic);
-        merged_deltas.merge(&deltas);
-        merged_run_means.merge(&run_means);
-        merged_ecdf.merge(&ecdf);
     }
     let snapshot = snapshot.expect("at least one part exists");
-    let stop_at = stop_at.expect("at least one part exists");
-    // Accumulator shards must agree with the run stream they rode along
-    // with: the pooled counts are exactly the finite Δt samples of the
-    // concatenated runs, and the per-run-mean accumulator holds one
-    // observation per run that harvested any finite delta.
-    let finite_deltas: usize = runs
-        .iter()
-        .map(|r| r.deltas_ms.iter().filter(|d| d.is_finite()).count())
-        .sum();
-    if merged_ecdf.len() != finite_deltas || merged_deltas.count() != finite_deltas as u64 {
-        return Err(format!(
-            "cell {label:?}: accumulator shards disagree with the run stream ({} ECDF samples, \
-             {} summary observations, {finite_deltas} finite run deltas) — the part files \
-             are inconsistent",
-            merged_ecdf.len(),
-            merged_deltas.count()
-        ));
-    }
-    let measured_runs = runs
-        .iter()
-        .filter(|r| r.deltas_ms.iter().any(|d| d.is_finite()))
-        .count();
-    if merged_run_means.count() != measured_runs as u64 {
-        return Err(format!(
-            "cell {label:?}: per-run-mean accumulator carries {} observation(s) but the run \
-             stream holds {measured_runs} measuring run(s) — the part files are inconsistent",
-            merged_run_means.count()
-        ));
-    }
     let mut traffic = snapshot.warmup_traffic.clone();
     traffic.merge(&window_sum);
-    let campaign = CampaignResult {
+    Ok(CampaignResult {
         protocol: snapshot.protocol.clone(),
         runs,
         traffic,
@@ -2226,8 +1775,7 @@ fn merge_slices(
         cluster_sizes: snapshot.cluster_sizes.clone(),
         num_nodes: snapshot.num_nodes,
         failures,
-    };
-    Ok((campaign, stop_at))
+    })
 }
 
 /// Merges one streaming campaign cell: unwrap each shard's slice, fold
@@ -2249,7 +1797,7 @@ fn merge_campaign_cell(
             )),
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let (campaign, _stop_at) = merge_slices(slices, &label)?;
+    let campaign = merge_slices(slices, &label)?;
     let report = match workload {
         Workload::OverheadProbe => CellReport::Overhead {
             report: OverheadReport::from_campaign(&campaign),
@@ -2313,8 +1861,8 @@ fn merge_paired_cell(
         attackeds.push((plan, attacked));
     }
     let (infiltration, clean_infiltration) = reference.expect("at least one part exists");
-    let (clean, _) = merge_slices(cleans, &label)?;
-    let (attacked, _) = merge_slices(attackeds, &label)?;
+    let clean = merge_slices(cleans, &label)?;
+    let attacked = merge_slices(attackeds, &label)?;
     let report = assemble_report(
         attacked.protocol.clone(),
         strategy.label(),
@@ -2351,7 +1899,6 @@ fn merge_mining_cell(
             snapshot: shard_snapshot,
             relay: shard_relay,
             runs,
-            runs_used,
         } = part
         else {
             return Err(format!(
@@ -2374,7 +1921,7 @@ fn merge_mining_cell(
         }
         // Mining runs cannot fail, so a slice must cover its range
         // exactly: one run per planned index, in order.
-        if runs_used != plan.len() || runs.len() != plan.len() {
+        if runs.len() != plan.len() {
             return Err(format!(
                 "cell {label:?}: shard {} carries {} mining run(s) for a range of {} — \
                  the part file is inconsistent",
@@ -2488,17 +2035,6 @@ pub fn salvage_merge(
                 continue;
             }
         };
-        if part.version != SHARD_FORMAT_VERSION {
-            quarantined.push(QuarantinedPart {
-                source,
-                shard_index: Some(part.plan.shard_index),
-                reason: format!(
-                    "wire-format version {} (this binary speaks {SHARD_FORMAT_VERSION})",
-                    part.version
-                ),
-            });
-            continue;
-        }
         if let Err(reason) = part.verify_seal() {
             quarantined.push(QuarantinedPart {
                 source,
@@ -2706,7 +2242,7 @@ fn quarantine_lines(quarantined: &[QuarantinedPart]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::StopRule;
+    use crate::experiment::ExperimentConfig;
     use bcbpt_cluster::Protocol;
 
     fn tiny(runs: usize) -> Scenario {
@@ -2786,7 +2322,6 @@ mod tests {
             panic!("empty shard still carries a campaign part");
         };
         assert!(slice.runs.is_empty());
-        assert!(slice.ecdf.is_empty());
         let merged = merge_shards(parts).unwrap();
         assert_eq!(merged, scenario.run_batch().unwrap());
     }
@@ -2878,27 +2413,82 @@ mod tests {
         assert!(err.contains("runs budget"), "{err}");
     }
 
-    #[test]
-    fn accumulator_shards_inconsistent_with_the_run_stream_are_rejected() {
-        // The warm-snapshot digest does not cover the accumulators; their
-        // guard is the count cross-check against the concatenated runs.
-        let scenario = tiny(4);
-        let mut parts = shard_all(&scenario, 2);
-        if let CellShard::Campaign { slice } = &mut parts[1].cells[0].part {
-            slice.deltas.record(1.0);
-            slice.ecdf.push(1.0);
-        }
-        parts[1].seal();
-        let err = merge_shards(parts).unwrap_err();
-        assert!(err.contains("disagree with the run stream"), "{err}");
+    /// The slice a PR 13 (format v3) binary wrote for the one run of a
+    /// 10-node `v3-literal` scenario — shared verbatim by the part and the
+    /// mid-cell checkpoint below, with the accumulators and (in the part)
+    /// the `runs_used` count that v4 dropped.
+    const V3_SLICE: &str = r#""snapshot":{"version":3,"protocol":"bitcoin","num_nodes":10,"seed":48313,"warmup_ms":200.0,"window_ms":1000.0,"online":10,"warmup_traffic":{"counts":{"Version":45,"Verack":45,"GetAddr":20,"Addr":20},"bytes":{"Version":4950,"Verack":1080,"GetAddr":480,"Addr":5300},"withheld":{}},"cluster_sizes":[],"digest":17593532630840512802},"runs":[{"run_index":0,"origin":1,"deltas_ms":[362.328,295.61,286.893,335.847,288.721,243.107,394.035,343.405],"arrival_delays_ms":[335.385,283.997,218.741,314.075,265.809,235.907,307.982,313.356,109.701],"reached":9,"online":10}],"failures":[],"window_traffic":{"counts":{"GetAddr":99,"Addr":99,"Inv":72,"GetData":8,"Tx":9},"bytes":{"GetAddr":2376,"Addr":26235,"Inv":4392,"GetData":488,"Tx":4716},"withheld":{}},"deltas":{"summary":{"count":8,"mean":318.74325000000005,"m2":16640.981717499995,"min":243.107,"max":394.035}},"run_means":{"summary":{"count":1,"mean":318.74325,"m2":0.0,"min":318.74325,"max":318.74325}},"ecdf":{"samples":[362.328,295.61,286.893,335.847,288.721,243.107,394.035,343.405]}"#;
+    const V3_HEAD: &str =
+        r#""version":3,"scenario":"v3-literal","scenario_digest":4701204051680109327"#;
+    const V3_PLAN: &str =
+        r#""scenario_runs":1,"plan":{"shard_index":0,"shard_count":1,"run_start":0,"run_end":1}"#;
 
-        let mut parts = shard_all(&scenario, 2);
-        if let CellShard::Campaign { slice } = &mut parts[0].cells[0].part {
-            slice.run_means.record(1.0);
-        }
-        parts[0].seal();
-        let err = merge_shards(parts).unwrap_err();
-        assert!(err.contains("per-run-mean accumulator"), "{err}");
+    fn v3_part() -> PartialOutcome {
+        let cell = format!(
+            r#"{{"label":"bitcoin","protocol":"bitcoin","num_nodes":10,"part":{{"Campaign":{{"slice":{{{V3_SLICE},"runs_used":1,"stop_at":null}}}}}}}}"#
+        );
+        PartialOutcome::from_json(&format!(
+            r#"{{{V3_HEAD},"workload":"TxFlood",{V3_PLAN},"cells":[{cell}],"digest":5100961288751493244}}"#
+        ))
+        .expect("a v3 part still parses — the removed keys are ignored")
+    }
+
+    fn v3_checkpoint() -> Checkpoint {
+        Checkpoint::from_json(&format!(
+            r#"{{{V3_HEAD},{V3_PLAN},"cells_done":[],"current":{{"cell_index":0,{V3_SLICE},"boundary_traffic":[],"next_run":1}},"digest":15381986678808608238}}"#
+        ))
+        .expect("a v3 checkpoint still parses — the removed keys are ignored")
+    }
+
+    #[test]
+    fn a_v3_part_is_refused_by_version_and_quarantined_by_salvage() {
+        let err = merge_shards(vec![v3_part()]).unwrap_err();
+        assert!(err.contains("part has wire-format version 3"), "{err}");
+        let sources = vec![("old.json".to_string(), Ok(v3_part()))];
+        let err = salvage_merge(sources, "s.json").unwrap_err();
+        assert!(err.contains("every part was quarantined"), "{err}");
+        assert!(
+            err.contains("old.json: part has wire-format version 3"),
+            "{err}"
+        );
+        // Beside healthy v4 parts it is quarantined and the rest merge.
+        let scenario = tiny(2);
+        let mut sources: Vec<_> = shard_all(&scenario, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, part)| (format!("part-{i}.json"), Ok(part)))
+            .collect();
+        sources.push(("old.json".to_string(), Ok(v3_part())));
+        let report = salvage_merge(sources, "s.json").unwrap();
+        assert_eq!(report.outcome, Some(scenario.run_batch().unwrap()));
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].source, "old.json");
+        assert!(report.quarantined[0].reason.contains("version 3"));
+    }
+
+    #[test]
+    fn a_v3_checkpoint_is_refused_on_resume_and_on_replay() {
+        let scenario = tiny(1);
+        let err = run_shard_with(
+            &scenario,
+            ShardSpec::new(0, 1).unwrap(),
+            &ProtocolRegistry::builtins(),
+            ShardRunOptions {
+                resume: Some(v3_checkpoint()),
+                ..ShardRunOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("checkpoint has wire-format version 3"),
+            "{err}"
+        );
+        assert!(err.contains("without --resume"), "{err}");
+        let err = checkpoint_replay_events(&scenario, &v3_checkpoint()).unwrap_err();
+        assert!(
+            err.contains("checkpoint has wire-format version 3"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2941,18 +2531,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scenario_digest_is_content_sensitive() {
-        let a = tiny(4);
-        assert_eq!(scenario_digest(&a), scenario_digest(&a.clone()));
-        let mut reseeded = a.clone();
-        reseeded.seed ^= 1;
-        assert_ne!(scenario_digest(&a), scenario_digest(&reseeded));
-        let mut renamed = a.clone();
-        renamed.name = "other-name".to_string();
-        assert_ne!(scenario_digest(&a), scenario_digest(&renamed));
-    }
-
     fn session_events(scenario: &Scenario) -> Vec<RunEvent> {
         let events = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = std::sync::Arc::clone(&events);
@@ -2991,7 +2569,7 @@ mod tests {
         let CellShard::Campaign { slice } = &part.cells[0].part else {
             panic!("streaming cell carries a campaign part");
         };
-        let used = slice.runs_used;
+        let used = part.runs_used();
         assert!((1..30).contains(&used), "rule must stop early, used {used}");
         assert_eq!(slice.stop_at, Some(used));
         assert_eq!(part.cell_stop_indices(), vec![Some(used)]);

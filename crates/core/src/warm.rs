@@ -48,7 +48,7 @@ pub fn warm_recipe_digest(cfg: &ExperimentConfig) -> u64 {
     }
     let recipe = Value::Map(fields);
     let json = serde_json::to_string(&recipe).expect("recipe serializes");
-    crate::shard::fnv1a64(json.as_bytes())
+    crate::wire::fnv1a64(json.as_bytes())
 }
 
 /// Cache state: recency-ordered entries (least recently used first) plus

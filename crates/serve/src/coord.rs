@@ -20,7 +20,7 @@
 
 use crate::http;
 use bcbpt_core::{
-    CoordinatorConfig, LocalCoordinator, PrefixEnvelope, StopCoordinator, StopDecision,
+    CoordinatorConfig, LocalCoordinator, PrefixEnvelope, Sealed, StopCoordinator, StopDecision,
 };
 use serde::{Deserialize, Serialize};
 use std::net::{TcpListener, TcpStream};

@@ -56,8 +56,8 @@ use crate::spool::{digest_hex, Spool, SpooledJob};
 use bcbpt_cluster::ProtocolRegistry;
 use bcbpt_core::{
     checkpoint_replay_events, merge_shards, run_shard_with, Checkpoint, LocalCoordinator,
-    PartialOutcome, RunEvent, Scenario, ScenarioOutcome, ShardObserver, ShardPlan, ShardRunOptions,
-    ShardSpec, StopCoordinator, WarmCache,
+    PartialOutcome, RunEvent, Scenario, ScenarioOutcome, Sealed, ShardObserver, ShardPlan,
+    ShardRunOptions, ShardSpec, StopCoordinator, WarmCache,
 };
 use bcbpt_obs::{Counter, Gauge, Registry, WallHistogram};
 use serde::Value;
@@ -466,9 +466,10 @@ fn restore_spooled_jobs(state: &Arc<ServerState>) {
         let adaptive = scenario.stop.is_some_and(|s| s.is_adaptive());
         let parsed: Vec<Option<PartialOutcome>> = parts
             .iter()
-            .map(|text| {
-                text.as_deref()
-                    .and_then(|t| PartialOutcome::from_json(t).ok())
+            .enumerate()
+            .map(|(shard, text)| {
+                let part = PartialOutcome::from_json(text.as_deref()?);
+                trusted(&format!("job {id} part {shard}"), part)
             })
             .collect();
         // A coordinated job restored mid-flight needs a fresh coordinator;
@@ -534,6 +535,17 @@ fn restore_spooled_jobs(state: &Arc<ServerState>) {
     }
 }
 
+/// One spooled envelope, if this binary can trust it. A file that does not
+/// parse, was sealed under another wire-format version (a spool that
+/// outlived an upgrade) or is corrupt reads as absent — logged, never an
+/// error — so its shard runs again from scratch.
+fn trusted<T: Sealed>(what: &str, parsed: Result<T, String>) -> Option<T> {
+    parsed
+        .and_then(|envelope| envelope.verify_seal().map(|()| envelope))
+        .map_err(|e| bcbpt_obs::warn!("spool: {what}: {e} — ignoring the file"))
+        .ok()
+}
+
 // ---------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------
@@ -579,7 +591,10 @@ fn run_shard_task(state: &Arc<ServerState>, job: &Arc<Job>, shard: usize) {
     let resume = state
         .spool
         .load_checkpoint(&job.id, shard)
-        .and_then(|text| Checkpoint::from_json(&text).ok());
+        .and_then(|text| {
+            let checkpoint = Checkpoint::from_json(&text);
+            trusted(&format!("job {} checkpoint {shard}", job.id), checkpoint)
+        });
     let live_stream = job.shards == 1;
     if live_stream {
         if let Some(checkpoint) = &resume {

@@ -13,12 +13,19 @@
 //! 3. **Drain/park/resume** — a drained service parks running jobs at a
 //!    durable checkpoint; a service restarted on the same spool resumes
 //!    them and completes with a byte-identical outcome and stream.
+//!    Spooled files the restarted binary cannot trust (another
+//!    wire-format version, a broken seal) read as absent: their shards
+//!    re-run, the job never fails over them.
 //! 4. **Hostile peers** — a connected-but-silent client delays nobody on
 //!    the daemon or the coordinator endpoint, and an oversize request
 //!    head is refused instead of buffered.
 
-use bcbpt_core::{LocalCoordinator, Scenario};
-use bcbpt_serve::{client, http, CoordServer, ServeConfig, Server};
+use bcbpt_cluster::ProtocolRegistry;
+use bcbpt_core::{
+    run_shard_with, Checkpoint, LocalCoordinator, Scenario, Sealed, ShardRunOptions, ShardSpec,
+    SHARD_FORMAT_VERSION,
+};
+use bcbpt_serve::{client, http, CoordServer, ServeConfig, Server, Spool};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -432,6 +439,58 @@ fn drain_park_resume(scenario: &Scenario, tag: &str) -> bool {
     server2.request_drain();
     server2.wait().expect("drain");
     true
+}
+
+#[test]
+fn untrusted_spool_files_rerun_their_shards_instead_of_failing_the_job() {
+    let scenario = fig3_quick();
+    let registry = ProtocolRegistry::builtins();
+    // What a 2-shard job leaves behind mid-flight: shard 0's checkpoint
+    // and shard 1's finished part.
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
+    let mut sink = |checkpoint: &Checkpoint| -> Result<(), String> {
+        checkpoints.push(checkpoint.clone());
+        Ok(())
+    };
+    let shard = |index: usize, sink| {
+        let options = ShardRunOptions {
+            sink,
+            ..ShardRunOptions::default()
+        };
+        run_shard_with(
+            &scenario,
+            ShardSpec::new(index, 2).unwrap(),
+            &registry,
+            options,
+        )
+        .expect("shard runs")
+    };
+    shard(0, Some(&mut sink));
+    let mut part = shard(1, None);
+    // The checkpoint was sealed by a binary one wire-format version back;
+    // the part took a flipped digest bit on disk. Both still parse.
+    let mut stale = checkpoints.swap_remove(1);
+    assert!(stale.current.is_some(), "a mid-cell checkpoint");
+    stale.version = SHARD_FORMAT_VERSION - 1;
+    stale.seal();
+    part.digest ^= 1;
+    let dir = temp_spool("untrusted");
+    let spool = Spool::open(&dir).expect("spool opens");
+    spool.write_job("job-1", 2, &scenario).expect("job spooled");
+    spool
+        .write_checkpoint("job-1", 0, &stale.to_json())
+        .expect("checkpoint spooled");
+    spool
+        .write_part("job-1", 1, &part.to_json())
+        .expect("part spooled");
+
+    let (server, addr) = start_server(&dir, 2);
+    client::wait_job(&addr, "job-1", Duration::from_secs(300)).expect("restored job settles");
+    let outcome = client::get(&addr, "/jobs/job-1/outcome").expect("outcome");
+    assert_eq!(outcome.status, 200, "{}", outcome.text());
+    assert_eq!(outcome.text(), direct_outcome_bytes(&scenario));
+    server.request_drain();
+    server.wait().expect("drain");
 }
 
 #[test]

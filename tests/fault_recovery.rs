@@ -9,8 +9,8 @@ mod common;
 
 use bcbpt::experiments::{
     checkpoint_replay_events, fault, merge_shards, run_shard_in, run_shard_with, salvage_merge,
-    scenario_digest, Checkpoint, FaultPlan, PartialOutcome, PrefixEnvelope, ShardRunOptions,
-    ShardSpec, StopDecision, COORD_FORMAT_VERSION,
+    Checkpoint, FaultPlan, PartialOutcome, PrefixEnvelope, Sealed, ShardRunOptions, ShardSpec,
+    StopDecision, COORD_FORMAT_VERSION,
 };
 use bcbpt::{
     ExperimentConfig, Protocol, ProtocolRegistry, RunEvent, Scenario, ScenarioOutcome, StopRule,
@@ -152,7 +152,9 @@ fn a_resumed_shard_is_byte_identical_to_an_uninterrupted_one() {
     // at several thread counts: the part must always come out
     // byte-identical to the uninterrupted run.
     for (i, checkpoint) in checkpoints.iter().enumerate() {
-        checkpoint.verify().expect("sealed checkpoint verifies");
+        checkpoint
+            .verify_seal()
+            .expect("sealed checkpoint verifies");
         for threads in [1usize, 3, 8] {
             let resumed = run_shard_with(
                 &scenario,
@@ -470,7 +472,7 @@ proptest! {
     }
 
     /// Flipping any single bit of a serialized checkpoint either fails
-    /// the parse, fails `verify()`, or is semantically the identical
+    /// the parse, fails `verify_seal()`, or is semantically the identical
     /// checkpoint (whitespace flip) — resume never continues from state
     /// that differs from what was sealed.
     #[test]
@@ -485,7 +487,7 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let Ok(text) = String::from_utf8(bytes) else { return; };
         let Ok(checkpoint) = Checkpoint::from_json(&text) else { return; };
-        if checkpoint.verify().is_ok() {
+        if checkpoint.verify_seal().is_ok() {
             let original = Checkpoint::from_json(&fx.checkpoint_json).expect("clean checkpoint");
             prop_assert_eq!(
                 checkpoint,
@@ -562,7 +564,7 @@ struct CoordFixture {
 fn coord_fixture() -> &'static CoordFixture {
     static FIXTURE: OnceLock<CoordFixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let digest = scenario_digest(&tiny_scenario());
+        let digest = tiny_scenario().digest();
         let mut deltas = StreamingSummary::new();
         for i in 0..40 {
             deltas.record(10.0 + f64::from(i) * 0.25);

@@ -250,7 +250,9 @@ fn the_coordinated_stop_index_is_recorded_in_every_part() {
                 panic!("streaming cell carries a campaign part");
             };
             assert!(stopped_early, "shard {i} cell {cell}: the rule fired");
-            assert_eq!(runs_used, slice.runs_used, "shard {i} cell {cell}");
+            let stop = slice.stop_at.expect("a stopped slice records the index");
+            let kept = stop.clamp(part.plan.run_start, part.plan.run_end) - part.plan.run_start;
+            assert_eq!(runs_used, kept, "shard {i} cell {cell}");
             assert!(runs_used < scenario.runs, "shard {i} cell {cell}");
         }
     }
