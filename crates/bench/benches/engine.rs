@@ -45,6 +45,29 @@ fn engine_timer_cascade(c: &mut Criterion) {
     });
 }
 
+/// 100 timers sharing one period, re-armed as they fire — the shape of the
+/// network's discovery ticks — so the queue's FIFO lane carries the load.
+fn engine_periodic_lane(c: &mut Criterion) {
+    c.bench_function("engine/periodic_lane_10k", |b| {
+        b.iter(|| {
+            let period = SimDuration::from_micros(100);
+            let mut engine = Engine::new();
+            for timer in 0..100u32 {
+                engine.schedule_in_monotone(SimDuration::from_micros(u64::from(timer)), timer);
+            }
+            let mut n = 0u32;
+            engine.run(|engine, timer| {
+                n += 1;
+                if n <= 9_900 {
+                    engine.schedule_in_monotone(period, timer);
+                }
+                Control::Continue
+            });
+            black_box(n)
+        });
+    });
+}
+
 fn network_flood(c: &mut Criterion) {
     c.bench_function("network/flood_200_nodes", |b| {
         b.iter_batched(
@@ -67,6 +90,6 @@ fn network_flood(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = engine_schedule_pop, engine_timer_cascade, network_flood
+    targets = engine_schedule_pop, engine_timer_cascade, engine_periodic_lane, network_flood
 }
 criterion_main!(benches);

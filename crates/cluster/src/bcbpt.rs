@@ -20,7 +20,9 @@
 
 use crate::registry::ClusterRegistry;
 use crate::rtt::RttEstimator;
-use bcbpt_net::{geo_ranked_candidates, Message, NeighborPolicy, NetView, NodeId, TopologyActions};
+use bcbpt_net::{
+    geo_ranked_candidates, Message, MessageKind, NeighborPolicy, NetView, NodeId, TopologyActions,
+};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
@@ -187,14 +189,8 @@ impl BcbptPolicy {
                     c
                 }
             };
-            let members: Vec<NodeId> = self
-                .registry
-                .members(c)
-                .iter()
-                .copied()
-                .filter(|&m| m != node)
-                .collect();
-            view.count_control(&Message::ClusterList { members });
+            let listed = self.registry.members(c).iter().filter(|&&m| m != node);
+            view.count_address_list(MessageKind::ClusterList, listed.count());
             c
         } else {
             self.registry.create_cluster()
@@ -312,9 +308,10 @@ impl NeighborPolicy for BcbptPolicy {
                         // Adopt the unclustered close node into our cluster
                         // (it JOINs us).
                         view.count_control(&Message::Join);
-                        view.count_control(&Message::ClusterList {
-                            members: self.registry.members(my_cluster).iter().copied().collect(),
-                        });
+                        view.count_address_list(
+                            MessageKind::ClusterList,
+                            self.registry.size(my_cluster),
+                        );
                         self.registry.assign(c, my_cluster);
                         if intra_used < intra_budget {
                             connect.push(c);

@@ -16,7 +16,9 @@
 //! imperfect proxy for internet proximity.
 
 use crate::registry::ClusterRegistry;
-use bcbpt_net::{geo_ranked_candidates, Message, NeighborPolicy, NetView, NodeId, TopologyActions};
+use bcbpt_net::{
+    geo_ranked_candidates, MessageKind, NeighborPolicy, NetView, NodeId, TopologyActions,
+};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -121,8 +123,8 @@ impl LbcPolicy {
     }
 
     fn join(&mut self, node: NodeId, view: &mut NetView<'_>) -> Vec<NodeId> {
-        let country = view.country(node).to_string();
-        let cluster = self.cluster_for_country(&country);
+        let country = view.country(node);
+        let cluster = self.cluster_for_country(country);
         self.registry.assign(node, cluster);
 
         let candidates = geo_ranked_candidates(view, node, self.config.candidate_pool);
@@ -148,9 +150,7 @@ impl LbcPolicy {
                 .take(intra_budget - targets.len())
                 .collect();
             if !members.is_empty() {
-                view.count_control(&Message::Addr {
-                    nodes: members.clone(),
-                });
+                view.count_address_list(MessageKind::Addr, members.len());
                 targets.extend(members);
             }
         }
@@ -209,13 +209,13 @@ impl NeighborPolicy for LbcPolicy {
         if free == 0 {
             return TopologyActions::none();
         }
-        let country = view.country(node).to_string();
+        let country = view.country(node);
 
         // Peer recommendations: my peers advertise their own same-country
         // peers (the LBC "extra function").
         let mut recommended: Vec<NodeId> = Vec::new();
-        for peer in view.peers(node).collect::<Vec<_>>() {
-            for second in view.peers(peer).collect::<Vec<_>>() {
+        for peer in view.peers(node) {
+            for second in view.peers(peer) {
                 if recommended.len() >= self.config.recommendation_budget {
                     break;
                 }
@@ -229,9 +229,7 @@ impl NeighborPolicy for LbcPolicy {
             }
         }
         if !recommended.is_empty() {
-            view.count_control(&Message::Addr {
-                nodes: recommended.clone(),
-            });
+            view.count_address_list(MessageKind::Addr, recommended.len());
         }
 
         // Prefer same-country (recommended first, then discovered), then

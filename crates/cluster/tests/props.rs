@@ -1,8 +1,13 @@
 //! Property-based tests for the clustering protocols.
 
-use bcbpt_cluster::{BcbptConfig, BcbptPolicy, ClusterRegistry, LbcConfig, LbcPolicy, Protocol};
-use bcbpt_net::{NetConfig, Network, NodeId};
+use bcbpt_cluster::{
+    BcbptConfig, BcbptPolicy, ClusterRegistry, LbcConfig, LbcPolicy, Protocol, RttEstimator,
+    RttEstimatorConfig,
+};
+use bcbpt_net::{NetConfig, NetView, Network, NodeId};
+use bcbpt_stats::Summary;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -103,5 +108,119 @@ proptest! {
             let frac = net.reachable_fraction(NodeId::from_index(0));
             prop_assert!(frac > 0.95, "{}: reachable {}", protocol, frac);
         }
+    }
+}
+
+/// The `BTreeMap`-backed estimator `RttEstimator` was before its cache
+/// became sorted rows, kept as the reference model — including its FIFO
+/// eviction quirk: a stale queue key (its pair already evicted or
+/// forgotten) evicts whatever was re-inserted under that key since.
+#[derive(Default)]
+struct MapEstimator {
+    config: RttEstimatorConfig,
+    entries: BTreeMap<(NodeId, NodeId), (Summary, u32)>,
+    insertion_queue: VecDeque<(NodeId, NodeId)>,
+}
+
+impl MapEstimator {
+    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn estimate_ms(&mut self, a: NodeId, b: NodeId, view: &mut NetView<'_>) -> f64 {
+        let key = Self::key(a, b);
+        let refresh_every = self.config.refresh_every;
+        if let Some((summary, queries)) = self.entries.get_mut(&key) {
+            *queries += 1;
+            if refresh_every == 0 || *queries + 1 < refresh_every {
+                return summary.mean();
+            }
+            summary.record(view.measure_rtt_ms(a, b));
+            *queries = 0;
+            return summary.mean();
+        }
+        let sample = view.measure_rtt_ms(a, b);
+        let mut summary = Summary::new();
+        summary.record(sample);
+        self.entries.insert(key, (summary, 0));
+        self.insertion_queue.push_back(key);
+        while self.entries.len() > self.config.max_entries {
+            match self.insertion_queue.pop_front() {
+                Some(key) => {
+                    self.entries.remove(&key);
+                }
+                None => break,
+            }
+        }
+        sample
+    }
+
+    fn forget_node(&mut self, node: NodeId) {
+        self.entries.retain(|&(a, b), _| a != node && b != node);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The row-packed estimator is the map-backed one under any script of
+    /// estimates and departures, with a cache small enough that eviction,
+    /// re-insertion of an evicted pair and stale queue keys all occur:
+    /// same estimates bit for bit, same beliefs, same probes paid.
+    #[test]
+    fn rtt_estimator_matches_the_map_model(
+        refresh_every in 0u32..5,
+        max_entries in 1usize..8,
+        script in proptest::collection::vec((0u8..8, 0u32..7, 0u32..7), 1..250)
+    ) {
+        const NODES: u32 = 7;
+        let build = || {
+            let mut config = NetConfig::test_scale();
+            config.num_nodes = NODES as usize;
+            config.target_outbound = 3;
+            Network::build(config, Box::new(bcbpt_net::RandomPolicy::new()), 5).unwrap()
+        };
+        let config = RttEstimatorConfig { refresh_every, max_entries };
+        let mut rows = RttEstimator::with_config(config);
+        let mut model = MapEstimator { config, ..MapEstimator::default() };
+        // Twin networks: each estimator draws its measurement noise from
+        // its own copy of the same stream.
+        let (mut net_a, mut net_b) = (build(), build());
+        net_a.with_view(|view_a| {
+            net_b.with_view(|view_b| {
+                for &(op, a, b) in &script {
+                    let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+                    if op == 0 {
+                        rows.forget_node(a);
+                        model.forget_node(a);
+                    } else {
+                        let got = rows.estimate_ms(a, b, view_a);
+                        let want = model.estimate_ms(a, b, view_b);
+                        assert_eq!(got.to_bits(), want.to_bits(), "estimate {a}-{b}");
+                    }
+                    assert_eq!(rows.len(), model.entries.len());
+                    assert_eq!(rows.is_empty(), model.entries.is_empty());
+                    for i in 0..NODES {
+                        for j in 0..NODES {
+                            let (x, y) = (NodeId::from_index(i), NodeId::from_index(j));
+                            let cached = model.entries.get(&MapEstimator::key(x, y));
+                            assert_eq!(
+                                rows.cached_ms(x, y).map(f64::to_bits),
+                                cached.map(|(s, _)| s.mean().to_bits()),
+                                "belief {x}-{y}"
+                            );
+                            assert_eq!(rows.samples(x, y), cached.map_or(0, |(s, _)| s.count()));
+                            assert_eq!(
+                                rows.variance_ms2(x, y).map(f64::to_bits),
+                                cached
+                                    .filter(|(s, _)| s.count() >= 2)
+                                    .map(|(s, _)| s.sample_variance().to_bits())
+                            );
+                        }
+                    }
+                }
+                assert_eq!(view_a.stats(), view_b.stats(), "same probes paid");
+            });
+        });
     }
 }

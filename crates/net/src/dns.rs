@@ -8,14 +8,14 @@
 //! (random) and proximity-ranked seed behaviour on top of a [`NetView`].
 
 use crate::ids::NodeId;
-use crate::msg::Message;
+use crate::msg::{Message, MessageKind};
 use crate::policy::NetView;
 
 /// Random seed candidates — vanilla Bitcoin DNS behaviour. Accounts one
 /// GETADDR/ADDR exchange.
 pub fn random_candidates(view: &mut NetView<'_>, node: NodeId, k: usize) -> Vec<NodeId> {
     let candidates = view.sample_online(k, node);
-    account_exchange(view, &candidates);
+    account_exchange(view, candidates.len());
     candidates
 }
 
@@ -31,15 +31,13 @@ pub fn geo_ranked_candidates(view: &mut NetView<'_>, node: NodeId, k: usize) -> 
         .collect();
     ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
     let out: Vec<NodeId> = ranked.into_iter().map(|(_, c)| c).take(k).collect();
-    account_exchange(view, &out);
+    account_exchange(view, out.len());
     out
 }
 
-fn account_exchange(view: &mut NetView<'_>, returned: &[NodeId]) {
+fn account_exchange(view: &mut NetView<'_>, returned: usize) {
     view.count_control(&Message::GetAddr);
-    view.count_control(&Message::Addr {
-        nodes: returned.to_vec(),
-    });
+    view.count_address_list(MessageKind::Addr, returned);
 }
 
 #[cfg(test)]
@@ -47,7 +45,6 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
     use crate::links::Links;
-    use crate::msg::MessageKind;
     use crate::node::NodeMeta;
     use crate::online::OnlineSet;
     use crate::stats::MessageStats;

@@ -209,6 +209,16 @@ impl MessageKind {
     ];
 }
 
+// The statistics tables index by `kind as usize`: the discriminants must
+// be the positions in `ALL`.
+const _: () = {
+    let mut i = 0;
+    while i < MessageKind::ALL.len() {
+        assert!(MessageKind::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl fmt::Display for MessageKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -249,6 +259,18 @@ const SHORT_ID_BYTES: usize = 6;
 /// Bytes per differentially-encoded `getblocktxn` index.
 const TXN_INDEX_BYTES: usize = 3;
 
+/// Payload size of an address list (ADDR, CLUSTERLIST) of `entries`
+/// addresses.
+const fn address_list_payload_bytes(entries: usize) -> usize {
+    1 + entries * ADDR_ENTRY_BYTES
+}
+
+/// Wire size of an address-list message (ADDR, CLUSTERLIST) carrying
+/// `entries` addresses — what [`Message::wire_size_bytes`] returns for one.
+pub(crate) const fn address_list_wire_bytes(entries: usize) -> usize {
+    HEADER_BYTES + address_list_payload_bytes(entries)
+}
+
 impl Message {
     /// The statistics kind of this message.
     pub fn kind(&self) -> MessageKind {
@@ -284,7 +306,7 @@ impl Message {
                 Message::Verack => 0,
                 Message::Ping { .. } | Message::Pong { .. } => 8,
                 Message::GetAddr => 0,
-                Message::Addr { nodes } => 1 + nodes.len() * ADDR_ENTRY_BYTES,
+                Message::Addr { nodes } => address_list_payload_bytes(nodes.len()),
                 Message::Inv { txids } | Message::GetData { txids } => {
                     1 + txids.len() * INV_ENTRY_BYTES
                 }
@@ -296,7 +318,7 @@ impl Message {
                 Message::BlockInvOne { .. } | Message::GetBlocksOne { .. } => 1 + INV_ENTRY_BYTES,
                 Message::BlockData { block } => block.size_bytes as usize,
                 Message::Join => 8,
-                Message::ClusterList { members } => 1 + members.len() * ADDR_ENTRY_BYTES,
+                Message::ClusterList { members } => address_list_payload_bytes(members.len()),
                 Message::CmpctBlock { short_ids, .. } => {
                     BLOCK_HEADER_BYTES + 8 + 1 + *short_ids as usize * SHORT_ID_BYTES
                 }

@@ -189,9 +189,9 @@ pub struct Network {
     block_mint_ms: BTreeMap<BlockId, f64>,
     block_delay_sum_ms: f64,
     block_delay_count: u64,
-    /// Reused fan-out buffer: every relay hop collects the peers to
-    /// announce to, and this scratch space keeps that collection
-    /// allocation-free on the hot path.
+    /// Reused node-list buffer: every relay hop collects the peers to
+    /// announce to and every discovery tick samples addresses, and this
+    /// scratch space keeps both allocation-free on the hot path.
     scratch_nodes: Vec<NodeId>,
 }
 
@@ -287,11 +287,14 @@ impl Network {
         }
 
         // Stagger discovery ticks so they do not all fire at one instant.
+        // Phases rise with the node index and every tick re-arms one
+        // interval after it fires, so the whole train is scheduled in time
+        // order and rides the queue's FIFO lane.
         let interval = net.config.discovery_interval_ms;
         for i in 0..n {
             let node = NodeId::from_index(i as u32);
             let phase = interval * (i as f64 / n as f64);
-            net.engine.schedule_in(
+            net.engine.schedule_in_monotone(
                 SimDuration::from_millis_f64(phase),
                 NetEvent::DiscoveryTick { node },
             );
@@ -582,34 +585,18 @@ impl Network {
     /// same window policies get. Useful for custom experiments and for
     /// testing policy components in isolation.
     pub fn with_view<R, F: FnOnce(&mut NetView<'_>) -> R>(&mut self, f: F) -> R {
-        let mut view = NetView {
-            meta: &self.meta,
-            links: &self.links,
-            online: &self.online,
-            latency: &self.latency,
-            routes: &self.routes,
-            stats: &mut self.stats,
-            rng: &mut self.policy_rng,
-            config: &self.config,
-            adversary: self.adversary.as_deref_mut(),
-        };
-        f(&mut view)
-    }
-
-    /// Test-only alias of [`with_view`](Self::with_view), compiled only for
-    /// this crate's own tests or under the `testing` feature so it stays
-    /// out of the release API.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn with_view_for_tests<R, F: FnOnce(&mut NetView<'_>) -> R>(&mut self, f: F) -> R {
-        self.with_view(f)
+        f(&mut self.view_and_policy().0)
     }
 
     // ------------------------------------------------------------------
     // Topology plumbing
     // ------------------------------------------------------------------
 
-    fn policy_bootstrap(&mut self, node: NodeId) -> Vec<NodeId> {
-        let mut view = NetView {
+    /// Splits the network into the window a policy sees and the policy
+    /// itself, so a policy hook can be called with a view of its own
+    /// network.
+    fn view_and_policy(&mut self) -> (NetView<'_>, &mut dyn NeighborPolicy) {
+        let view = NetView {
             meta: &self.meta,
             links: &self.links,
             online: &self.online,
@@ -620,37 +607,22 @@ impl Network {
             config: &self.config,
             adversary: self.adversary.as_deref_mut(),
         };
-        self.policy.bootstrap(node, &mut view)
+        (view, self.policy.as_mut())
+    }
+
+    fn policy_bootstrap(&mut self, node: NodeId) -> Vec<NodeId> {
+        let (mut view, policy) = self.view_and_policy();
+        policy.bootstrap(node, &mut view)
     }
 
     fn policy_discovery(&mut self, node: NodeId, discovered: &[NodeId]) -> TopologyActions {
-        let mut view = NetView {
-            meta: &self.meta,
-            links: &self.links,
-            online: &self.online,
-            latency: &self.latency,
-            routes: &self.routes,
-            stats: &mut self.stats,
-            rng: &mut self.policy_rng,
-            config: &self.config,
-            adversary: self.adversary.as_deref_mut(),
-        };
-        self.policy.on_discovery(node, discovered, &mut view)
+        let (mut view, policy) = self.view_and_policy();
+        policy.on_discovery(node, discovered, &mut view)
     }
 
     fn policy_leave(&mut self, node: NodeId) {
-        let mut view = NetView {
-            meta: &self.meta,
-            links: &self.links,
-            online: &self.online,
-            latency: &self.latency,
-            routes: &self.routes,
-            stats: &mut self.stats,
-            rng: &mut self.policy_rng,
-            config: &self.config,
-            adversary: self.adversary.as_deref_mut(),
-        };
-        self.policy.on_leave(node, &mut view);
+        let (mut view, policy) = self.view_and_policy();
+        policy.on_leave(node, &mut view);
     }
 
     /// Attempts to establish `from → to` under the connection caps.
@@ -1106,7 +1078,7 @@ impl Network {
 
     fn handle_discovery(&mut self, node: NodeId) {
         // Always reschedule so the tick train survives offline periods.
-        self.engine.schedule_in(
+        self.engine.schedule_in_monotone(
             SimDuration::from_millis_f64(self.config.discovery_interval_ms),
             NetEvent::DiscoveryTick { node },
         );
@@ -1115,16 +1087,23 @@ impl Network {
         }
         // "The normal Bitcoin network nodes discovery mechanism": learn a
         // few addresses (accounted as a GETADDR/ADDR exchange with a peer).
-        let discovered =
-            self.online
-                .sample(self.config.discovery_sample, node, &mut self.policy_rng);
+        // Every node ticks every interval, so the sample lands in the
+        // reused scratch buffer and the ADDR reply is sized by its count:
+        // a tick that changes no connection allocates nothing.
+        let mut discovered = std::mem::take(&mut self.scratch_nodes);
+        self.online.sample_into(
+            self.config.discovery_sample,
+            node,
+            &mut self.policy_rng,
+            &mut discovered,
+        );
         if !discovered.is_empty() {
             self.stats.record(&Message::GetAddr);
-            self.stats.record(&Message::Addr {
-                nodes: discovered.clone(),
-            });
+            self.stats
+                .record_address_list(MessageKind::Addr, discovered.len());
         }
         let actions = self.policy_discovery(node, &discovered);
+        self.scratch_nodes = discovered;
         self.apply_actions(node, actions);
     }
 

@@ -73,15 +73,31 @@ impl OnlineSet {
     /// Samples up to `k` distinct online nodes uniformly, excluding
     /// `exclude`. O(k) expected.
     pub fn sample<R: Rng + ?Sized>(&self, k: usize, exclude: NodeId, rng: &mut R) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.sample_into(k, exclude, rng, &mut out);
+        out
+    }
+
+    /// [`sample`](Self::sample) into a caller-owned buffer (cleared first):
+    /// the same nodes from the same draws, without the allocation — every
+    /// node samples on every discovery tick.
+    pub fn sample_into<R: Rng + ?Sized>(
+        &self,
+        k: usize,
+        exclude: NodeId,
+        rng: &mut R,
+        out: &mut Vec<NodeId>,
+    ) {
+        out.clear();
         let available = self
             .list
             .len()
             .saturating_sub(usize::from(self.contains(exclude)));
         let k = k.min(available);
         if k == 0 {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(k);
+        out.reserve(k);
         // Rejection sampling with a budget; falls back to a scan if unlucky
         // (only possible when k is close to the population size).
         let mut attempts = 0usize;
@@ -103,7 +119,6 @@ impl OnlineSet {
                 }
             }
         }
-        out
     }
 
     /// All online nodes in insertion order (order is an implementation
@@ -207,6 +222,34 @@ mod tests {
                 (f64::from(c) - expected).abs() < expected * 0.2,
                 "node {i}: {c} vs expected {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn sample_into_matches_sample_and_spends_the_same_draws() {
+        let mut s = OnlineSet::all_online(12);
+        s.remove(n(4));
+        let mut a = ChaCha12Rng::seed_from_u64(5);
+        let mut b = ChaCha12Rng::seed_from_u64(5);
+        // A dirty, over-sized buffer: `sample_into` must clear it.
+        let mut buf = vec![n(0); 32];
+        // k = 11 exceeds what rejection sampling reliably fills, so the
+        // scan fallback runs too; excluding an offline or out-of-range id
+        // leaves every online node eligible.
+        for (k, exclude) in [
+            (1, n(0)),
+            (5, n(3)),
+            (11, n(1)),
+            (8, n(4)),
+            (3, n(99)),
+            (0, n(2)),
+        ] {
+            for _ in 0..50 {
+                let fresh = s.sample(k, exclude, &mut a);
+                s.sample_into(k, exclude, &mut b, &mut buf);
+                assert_eq!(buf, fresh, "k={k} exclude={exclude}");
+                assert_eq!(a.get_word_pos(), b.get_word_pos(), "same draws spent");
+            }
         }
     }
 

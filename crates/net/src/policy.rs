@@ -11,7 +11,7 @@ use crate::adversary::Adversary;
 use crate::config::NetConfig;
 use crate::ids::NodeId;
 use crate::links::Links;
-use crate::msg::Message;
+use crate::msg::{Message, MessageKind};
 use crate::node::NodeMeta;
 use crate::online::OnlineSet;
 use crate::routes::RouteTable;
@@ -132,8 +132,10 @@ impl<'a> NetView<'a> {
         self.meta[node.index()].online
     }
 
-    /// Country tag of `node` (what the LBC baseline clusters on).
-    pub fn country(&self, node: NodeId) -> &str {
+    /// Country tag of `node` (what the LBC baseline clusters on). Borrowed
+    /// from the network, not from the view, so it can be held across
+    /// `&mut self` calls.
+    pub fn country(&self, node: NodeId) -> &'a str {
         &self.meta[node.index()].placement.country
     }
 
@@ -198,8 +200,15 @@ impl<'a> NetView<'a> {
         self.stats.record(msg);
     }
 
+    /// [`count_control`](Self::count_control) for an address list — an
+    /// ADDR or CLUSTERLIST of `entries` addresses — sized from the count,
+    /// so the policy need not collect the list it only wants accounted.
+    pub fn count_address_list(&mut self, kind: MessageKind, entries: usize) {
+        self.stats.record_address_list(kind, entries);
+    }
+
     /// Established peers of `node`, in id order.
-    pub fn peers(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn peers(&self, node: NodeId) -> impl Iterator<Item = NodeId> + 'a {
         self.links.peers(node).iter().copied()
     }
 
@@ -242,11 +251,6 @@ impl<'a> NetView<'a> {
 
     /// The traffic counters (read-only).
     pub fn stats(&self) -> &MessageStats {
-        self.stats
-    }
-
-    #[doc(hidden)]
-    pub fn stats_for_tests(&self) -> &MessageStats {
         self.stats
     }
 
@@ -376,6 +380,8 @@ mod tests {
             v.count_control(&Message::Join);
             v.count_control(&Message::ClusterList { members: vec![] });
             assert_eq!(v.stats.cluster_control_messages(), 2);
+            v.count_address_list(MessageKind::ClusterList, 3);
+            assert_eq!(v.stats.cluster_control_messages(), 3);
         });
     }
 

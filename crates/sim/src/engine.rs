@@ -163,6 +163,17 @@ impl<E> Engine<E> {
         id
     }
 
+    /// [`schedule_in`](Self::schedule_in) for a train of periodic timers:
+    /// callers that all pass the same `d` and re-arm as they fire schedule
+    /// in non-decreasing time order, which the queue serves from its FIFO
+    /// lane instead of the heap (see [`EventQueue::schedule_monotone`]).
+    /// Firing order is identical to `schedule_in`.
+    pub fn schedule_in_monotone(&mut self, d: SimDuration, payload: E) -> EventId {
+        let id = self.queue.schedule_monotone(self.now + d, payload);
+        self.queue_hw = self.queue_hw.max(self.queue.len());
+        id
+    }
+
     /// Cancels a pending event. Returns `false` if it already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {

@@ -1,13 +1,19 @@
 //! The pending-event queue.
 //!
-//! A thin wrapper over a binary heap that guarantees **deterministic
+//! A binary heap plus a FIFO lane that together guarantee **deterministic
 //! ordering**: events fire in `(time, sequence-number)` order, so two events
 //! scheduled for the same instant fire in the order they were scheduled,
-//! independent of heap internals.
+//! independent of which container holds them.
+//!
+//! The lane exists for periodic trains. Timers that all share one period
+//! and re-arm themselves as they fire are scheduled in non-decreasing time
+//! order, so a `VecDeque` keeps them sorted for free; the heap then holds
+//! only the aperiodic events and stays shallow
+//! ([`EventQueue::schedule_monotone`]).
 
 use crate::time::SimTime;
 use core::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifier of a scheduled event, usable to cancel it later.
 ///
@@ -117,10 +123,14 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Events scheduled through [`schedule_monotone`](Self::schedule_monotone)
+    /// in non-decreasing time order: sorted by `(time, seq)` by
+    /// construction, so the front is the lane's earliest event.
+    lane: VecDeque<Entry<E>>,
     /// Bit per seq: scheduled and not yet fired or cancelled.
     pending: SeqBitSet,
-    /// Bit per seq: cancelled but still occupying a heap slot (the slot is
-    /// a tombstone, dropped lazily on pop/peek).
+    /// Bit per seq: cancelled but still occupying a heap or lane slot (the
+    /// slot is a tombstone, dropped lazily on pop/peek).
     cancelled: SeqBitSet,
     /// Number of live (pending) events.
     live: usize,
@@ -138,6 +148,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             pending: SeqBitSet::default(),
             cancelled: SeqBitSet::default(),
             live: 0,
@@ -149,6 +160,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            lane: VecDeque::new(),
             pending: SeqBitSet::default(),
             cancelled: SeqBitSet::default(),
             live: 0,
@@ -160,20 +172,45 @@ impl<E> EventQueue<E> {
     ///
     /// Events scheduled for the same instant fire in scheduling order.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+        let seq = self.admit();
+        self.heap.push(Entry { time, seq, payload });
+        EventId(seq)
+    }
+
+    /// [`schedule`](Self::schedule) for callers whose firing times never
+    /// decrease from one call to the next — a train of periodic timers that
+    /// share one period and re-arm as they fire.
+    ///
+    /// Such events go onto a FIFO lane (O(1) push and pop) instead of the
+    /// heap. The firing order is exactly that of `schedule`: the event takes
+    /// the next sequence number either way, and `pop` merges lane and heap
+    /// on `(time, seq)`. A `time` earlier than the lane's last entry falls
+    /// back to the heap, so a caller that breaks the monotone pattern loses
+    /// only the speed-up.
+    pub fn schedule_monotone(&mut self, time: SimTime, payload: E) -> EventId {
+        if self.lane.back().is_some_and(|last| time < last.time) {
+            return self.schedule(time, payload);
+        }
+        let seq = self.admit();
+        self.lane.push_back(Entry { time, seq, payload });
+        EventId(seq)
+    }
+
+    /// Takes the next sequence number and marks it live.
+    fn admit(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
         self.pending.set(seq);
         self.live += 1;
-        EventId(seq)
+        seq
     }
 
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` when the event was still pending, `false` when it has
     /// already fired, was already cancelled, or was never scheduled here.
-    /// Cancellation flips two bits; the heap slot becomes a tombstone
-    /// dropped lazily on pop.
+    /// Cancellation flips two bits; the heap or lane slot becomes a
+    /// tombstone dropped lazily on pop.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if self.pending.get(id.0) {
             self.pending.clear(id.0);
@@ -185,9 +222,39 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// `(time, seq, in the lane?)` of whichever front entry — live or
+    /// tombstone — comes first in `(time, seq)` order; `None` when both
+    /// containers are empty.
+    fn front(&self) -> Option<(SimTime, u64, bool)> {
+        let heap = self.heap.peek().map(|e| (e.time, e.seq, false));
+        let lane = self.lane.front().map(|e| (e.time, e.seq, true));
+        match (heap, lane) {
+            // Sequence numbers are unique, so the flag never decides.
+            (Some(heap), Some(lane)) => Some(heap.min(lane)),
+            (heap, lane) => heap.or(lane),
+        }
+    }
+
+    /// Removes the front entry of the lane or of the heap.
+    fn take_front(&mut self, lane: bool) -> Entry<E> {
+        if lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        }
+        .expect("front() named a non-empty container")
+    }
+
     /// Removes and returns the earliest pending event, skipping tombstones.
+    // `pop` and `peek_time` are the inner loop of every experiment. Left to
+    // its own judgement the compiler stops inlining them into large callers
+    // once they merge two containers, which costs a bare-heap timer cascade
+    // a third of its speed (15 -> 24 ns/event in the benchmark's probe).
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<Firing<E>> {
-        while let Some(entry) = self.heap.pop() {
+        loop {
+            let (_, _, lane) = self.front()?;
+            let entry = self.take_front(lane);
             if self.cancelled.get(entry.seq) {
                 self.cancelled.clear(entry.seq);
                 continue;
@@ -200,22 +267,20 @@ impl<E> EventQueue<E> {
                 payload: entry.payload,
             });
         }
-        None
     }
 
     /// The firing instant of the earliest live event, if any.
+    #[inline(always)]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drain tombstones from the front so the peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.get(entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.clear(seq);
-                continue;
+        loop {
+            let (time, seq, lane) = self.front()?;
+            if !self.cancelled.get(seq) {
+                return Some(time);
             }
-            return Some(entry.time);
+            // Drop the tombstone so the peek is accurate.
+            self.take_front(lane);
+            self.cancelled.clear(seq);
         }
-        None
     }
 
     /// Number of live pending events.
@@ -236,6 +301,7 @@ impl<E> EventQueue<E> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.pending.clear_all();
         self.cancelled.clear_all();
         self.live = 0;
@@ -319,6 +385,74 @@ mod tests {
         assert!(q.is_empty());
         assert!(q.pop().is_none());
         assert_eq!(q.scheduled_total(), 2, "history survives clear");
+    }
+
+    #[test]
+    fn non_monotone_lane_schedule_falls_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_monotone(t(10), 'a');
+        q.schedule_monotone(t(20), 'b');
+        q.schedule_monotone(t(15), 'c'); // earlier than the lane's back
+        q.schedule_monotone(t(20), 'd'); // equal to the back: still monotone
+        assert_eq!(q.lane.len(), 3);
+        assert_eq!(q.heap.len(), 1, "the out-of-order event went to the heap");
+        assert_eq!(q.len(), 4);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|f| f.payload)).collect();
+        assert_eq!(order, vec!['a', 'c', 'b', 'd']);
+    }
+
+    #[test]
+    fn equal_time_events_across_lane_and_heap_fire_in_scheduling_order() {
+        let mut q = EventQueue::new();
+        let mut ids = Vec::new();
+        for i in 0..40 {
+            ids.push(if i % 3 == 0 {
+                q.schedule(t(5), i)
+            } else {
+                q.schedule_monotone(t(5), i)
+            });
+        }
+        assert!(!q.lane.is_empty() && !q.heap.is_empty());
+        assert_eq!(q.peek_time(), Some(t(5)));
+        let fired: Vec<Firing<i32>> = std::iter::from_fn(|| q.pop()).collect();
+        let order: Vec<i32> = fired.iter().map(|f| f.payload).collect();
+        assert_eq!(order, (0..40).collect::<Vec<_>>());
+        let fired_ids: Vec<EventId> = fired.iter().map(|f| f.id).collect();
+        assert_eq!(fired_ids, ids, "ids are handed out in scheduling order");
+    }
+
+    #[test]
+    fn cancelling_a_lane_entry_tombstones_it() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_monotone(t(1), "a");
+        let b = q.schedule_monotone(t(2), "b");
+        q.schedule(t(3), "c");
+        assert!(q.cancel(b));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.lane.len(), 2, "the slot stays until it reaches the front");
+        assert!(!q.cancel(b), "double cancel reports false");
+        assert!(q.cancel(a));
+        assert_eq!(
+            q.peek_time(),
+            Some(t(3)),
+            "both lane tombstones are skipped"
+        );
+        assert!(q.lane.is_empty());
+        assert_eq!(q.pop().unwrap().payload, "c");
+        assert!(q.pop().is_none());
+        assert_eq!(q.scheduled_total(), 3);
+    }
+
+    #[test]
+    fn clear_empties_the_lane_too() {
+        let mut q = EventQueue::new();
+        q.schedule_monotone(t(1), ());
+        q.schedule(t(2), ());
+        q.clear();
+        assert!(q.is_empty());
+        assert!(q.peek_time().is_none());
+        q.schedule_monotone(t(0), ());
+        assert_eq!(q.lane.len(), 1, "a cleared lane accepts any time again");
     }
 
     #[test]

@@ -222,3 +222,68 @@ proptest! {
         prop_assert_eq!(q.scheduled_total(), times.len() as u64);
     }
 }
+
+proptest! {
+    /// The FIFO lane is invisible: a queue that schedules some events
+    /// through `schedule_monotone` (mostly in time order, sometimes not, so
+    /// both the lane and its heap fallback run) fires, counts and cancels
+    /// exactly like a heap-only queue fed the same script.
+    #[test]
+    fn lane_queue_matches_heap_only_queue(
+        ops in proptest::collection::vec((0u8..8, 0u64..400), 1..400)
+    ) {
+        let mut heap_only = EventQueue::new();
+        let mut laned = EventQueue::new();
+        let mut ids = Vec::new();
+        let mut rising = 0u64;
+        for (step, (op, t)) in ops.into_iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    let at = SimTime::from_micros(t);
+                    let a = heap_only.schedule(at, step);
+                    let b = laned.schedule(at, step);
+                    prop_assert_eq!(a, b);
+                    ids.push(a);
+                }
+                2..=4 => {
+                    // A periodic train: times never decrease (ties included).
+                    rising += t % 3;
+                    let at = SimTime::from_micros(rising);
+                    let a = heap_only.schedule(at, step);
+                    let b = laned.schedule_monotone(at, step);
+                    prop_assert_eq!(a, b);
+                    ids.push(a);
+                }
+                5 => {
+                    // An arbitrary time: usually behind the lane's back.
+                    let at = SimTime::from_micros(t);
+                    let a = heap_only.schedule(at, step);
+                    let b = laned.schedule_monotone(at, step);
+                    prop_assert_eq!(a, b);
+                    ids.push(a);
+                }
+                6 => {
+                    if !ids.is_empty() {
+                        let id = ids[(t as usize) % ids.len()];
+                        prop_assert_eq!(heap_only.cancel(id), laned.cancel(id));
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(heap_only.peek_time(), laned.peek_time());
+                    prop_assert_eq!(heap_only.pop(), laned.pop());
+                }
+            }
+            prop_assert_eq!(heap_only.len(), laned.len());
+            prop_assert_eq!(heap_only.scheduled_total(), laned.scheduled_total());
+        }
+        loop {
+            prop_assert_eq!(heap_only.peek_time(), laned.peek_time());
+            let (a, b) = (heap_only.pop(), laned.pop());
+            prop_assert_eq!(&a, &b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(laned.is_empty());
+    }
+}
