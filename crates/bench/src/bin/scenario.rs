@@ -37,9 +37,9 @@
 //!                       except under a wall-clock stop rule)
 //!   --shard i/N         which shard of how many (shard run only)
 //!   --out <path>        where to write the shard part (shard run only)
-//!   --checkpoint <path> persist a digest-sealed checkpoint of the folded
+//!   --checkpoint <path> append digest-sealed checkpoint records of the folded
 //!                       prefix to <path> as the shard runs (shard run only)
-//!   --checkpoint-every <n>  folds between checkpoints (default 1)
+//!   --checkpoint-every <n>  folds per checkpoint record (default 1)
 //!   --resume            continue from --checkpoint's file if it exists
 //!   --inject-fault <json>   arm a deterministic FaultPlan, e.g.
 //!                       '{"DieAfterRuns":{"n":3}}' (fault-injection builds)
@@ -54,13 +54,14 @@
 
 use bcbpt_cluster::ProtocolRegistry;
 use bcbpt_core::{
-    merge_shards, run_shard_with, salvage_merge, Checkpoint, CheckpointSink, FaultPlan,
+    merge_shards, run_shard_with, salvage_merge, Checkpoint, CheckpointSink, FaultPlan, Journal,
     LocalCoordinator, PartialOutcome, RunEvent, Scenario, ScenarioOutcome, ShardRunOptions,
     ShardSpec, StopCoordinator, StopRule, WarmCache,
 };
-use bcbpt_serve::{client, CoordClient, CoordServer, ServeConfig, Server};
+use bcbpt_serve::{client, CoordClient, CoordServer, JournalFile, ServeConfig, Server};
 use std::fs;
 use std::io::Write as _;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 #[cfg(feature = "fault-injection")]
@@ -735,14 +736,14 @@ fn shard_run(spec: &str, options: &Options) -> Result<(), String> {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     // Resume is crash-idempotent: a missing checkpoint file (died before
     // the first write, or a fresh start launched with the same command
-    // line) just starts from the plan's first run.
+    // line) just starts from the plan's first run, and a journal with a
+    // torn tail continues from its last whole record.
     let resume = match (options.resume, options.checkpoint.as_deref()) {
-        (true, Some(path)) => match fs::read_to_string(path) {
-            Ok(text) => {
-                let checkpoint =
-                    Checkpoint::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        (true, Some(path)) => match fs::read(path) {
+            Ok(bytes) => {
+                let journal = Journal::read(&bytes).map_err(|e| format!("{path}: {e}"))?;
                 bcbpt_obs::info!("resuming shard {shard} of {} from {path}", scenario.name);
-                Some(checkpoint)
+                Some(journal)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 bcbpt_obs::warn!("--resume: no checkpoint at {path} yet — starting fresh");
@@ -752,28 +753,37 @@ fn shard_run(spec: &str, options: &Options) -> Result<(), String> {
         },
         _ => None,
     };
-    let checkpoint_path = options.checkpoint.clone();
-    let mut sink_fn = {
-        let checkpoint_path = checkpoint_path.clone();
-        move |checkpoint: &Checkpoint| -> Result<(), String> {
-            let path = checkpoint_path
-                .as_deref()
-                .expect("sink only installed with --checkpoint");
-            let json = format!("{}\n", checkpoint.to_json());
-            #[cfg(feature = "fault-injection")]
-            if fault::armed() == Some(FaultPlan::TornCheckpoint) {
-                // Tear the write on purpose: half the bytes, straight to
-                // the final path (no tmp + rename), then die — the
-                // worst-case crash --resume must reject.
-                let _ = fs::write(path, &json.as_bytes()[..json.len() / 2]);
-                fault::hard_exit("TornCheckpoint");
-            }
-            atomic_write(path, json.as_bytes())
-        }
-    };
-    let sink: Option<&mut CheckpointSink<'_>> = match checkpoint_path {
-        Some(_) => Some(&mut sink_fn),
+    // The journal continues behind the resumed prefix, or starts over.
+    let valid_len = resume.as_ref().map_or(0, |journal| journal.valid_len);
+    let mut journal_file = options
+        .checkpoint
+        .as_deref()
+        .map(|path| {
+            with_io_retry(|| JournalFile::open(Path::new(path), valid_len as u64))
+                .map(|file| (path, file))
+                .map_err(|e| format!("{path}: {e}"))
+        })
+        .transpose()?;
+    let mut sink_fn;
+    let sink: Option<&mut CheckpointSink<'_>> = match journal_file.as_mut() {
         None => None,
+        Some((path, file)) => {
+            sink_fn = move |record: &Checkpoint| -> Result<(), String> {
+                let line = record.to_json();
+                #[cfg(feature = "fault-injection")]
+                if fault::armed() == Some(FaultPlan::TornCheckpoint) {
+                    // Tear the append on purpose: half the record's bytes,
+                    // then die — the crash a journal reader must survive.
+                    let _ = fs::OpenOptions::new()
+                        .append(true)
+                        .open(&**path)
+                        .and_then(|mut file| file.write_all(&line.as_bytes()[..line.len() / 2]));
+                    fault::hard_exit("TornCheckpoint");
+                }
+                with_io_retry(|| file.append(&line)).map_err(|e| format!("{path}: {e}"))
+            };
+            Some(&mut sink_fn)
+        }
     };
     // One warm-snapshot cache for the whole process: sweep cells sharing
     // a warm recipe (same net/protocol/seed/warmup) warm once and clone

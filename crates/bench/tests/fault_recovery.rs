@@ -2,8 +2,9 @@
 //! process hard-killed by the fault injector resumes from its checkpoint
 //! and merges byte-identically to an uninterrupted campaign, a corrupted
 //! part file is quarantined by `shard merge --salvage` and repaired by
-//! following the emitted plan, a torn checkpoint is rejected on resume,
-//! and the `events` validator enforces gap-free ascending run indices.
+//! following the emitted plan, a checkpoint torn inside its header — or
+//! written by the whole-prefix format 4 — is rejected on resume, and the
+//! `events` validator enforces gap-free ascending run indices.
 
 use bcbpt_core::Scenario;
 use std::fs;
@@ -346,6 +347,46 @@ fn a_torn_checkpoint_is_rejected_on_resume_and_a_fresh_start_recovers() {
         "the fresh start is announced: {}",
         stderr_of(&out)
     );
+    assert!(part0.exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_whole_prefix_checkpoint_of_format_4_is_refused_on_resume_by_its_version() {
+    // What `--checkpoint` wrote before it became a journal (the PR 17
+    // binary, killed two folds into fig3 --quick shard 0/2): `--resume`
+    // names the format instead of trying to read it, and leaves the file.
+    let dir = scratch("v4");
+    let ckpt = dir.join("ckpt.json");
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/checkpoint-v4.json");
+    fs::copy(&fixture, &ckpt).expect("fixture copied");
+    let part0 = dir.join("part-0.json");
+    let resume = |extra: &[&str]| {
+        let mut args = vec!["shard", "run", "fig3", "--quick", "--shard", "0/2", "--out"];
+        args.extend([
+            part0.to_str().unwrap(),
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ]);
+        args.extend(extra);
+        run(&args)
+    };
+    let out = resume(&["--resume"]);
+    assert!(!out.status.success(), "resume must refuse a v4 checkpoint");
+    assert!(
+        stderr_of(&out).contains("checkpoint has wire-format version 4 but this binary speaks 5"),
+        "the refusal names the format: {}",
+        stderr_of(&out)
+    );
+    assert!(!part0.exists());
+    assert_eq!(
+        fs::read(&ckpt).unwrap(),
+        fs::read(&fixture).unwrap(),
+        "a refused file is left as it was"
+    );
+    // Without --resume the shard starts a fresh journal over it.
+    assert_success(&resume(&[]), "fresh run over the old checkpoint");
     assert!(part0.exists());
     let _ = fs::remove_dir_all(&dir);
 }

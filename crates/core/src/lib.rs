@@ -32,7 +32,7 @@
 //!   batch run.
 //! * [`RunFailure`]/[`Checkpoint`]/[`salvage_merge`]/[`FaultPlan`] — the
 //!   failure story: panicking runs fold as structured data, killed shards
-//!   resume from digest-sealed checkpoints byte-identically, corrupt
+//!   resume from digest-sealed checkpoint journals byte-identically, corrupt
 //!   parts are quarantined with a machine-readable [`RepairPlan`], and a
 //!   deterministic fault-injection harness (`fault-injection` feature)
 //!   drives every recovery path in CI.
@@ -114,7 +114,7 @@ pub use validation::{
 };
 pub use warm::{warm_recipe_digest, WarmCache};
 pub use wire::{
-    CampaignSlice, CellProgress, CellShard, Checkpoint, CoordinatorConfig, PartialCell,
-    PartialOutcome, PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot,
-    COORD_FORMAT_VERSION, SHARD_FORMAT_VERSION,
+    CampaignSlice, CellProgress, CellShard, Checkpoint, CheckpointBody, CoordinatorConfig, Journal,
+    PartialCell, PartialOutcome, PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot,
+    CHECKPOINT_FORMAT_VERSION, COORD_FORMAT_VERSION, SHARD_FORMAT_VERSION,
 };

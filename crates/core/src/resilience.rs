@@ -1,6 +1,6 @@
 //! Failure model of long-running campaigns: structured run failures,
 //! salvage/repair planning, and a deterministic fault-injection harness
-//! (the digest-sealed checkpoint itself is a [`crate::wire`] type).
+//! (the digest-sealed checkpoint journal itself is [`crate::wire`]'s).
 //!
 //! The campaign machinery ([`crate::shard`], [`crate::ScenarioSession`])
 //! turns the simulator into long-running distributed infrastructure, so
@@ -9,10 +9,10 @@
 //! * **A panicking run** is caught per run ([`RunFailure`]) and folded in
 //!   run-index order like any other outcome — the campaign completes and
 //!   the failure is data, byte-identical across thread counts.
-//! * **A killed shard process** resumes from a
-//!   [`Checkpoint`](crate::Checkpoint): the folded prefix of its run
-//!   range, digest-sealed and written atomically, so a SIGKILL costs at
-//!   most `--checkpoint-every` runs of work.
+//! * **A killed shard process** resumes from its journal of
+//!   [`Checkpoint`](crate::Checkpoint) records ([`crate::Journal`]): the
+//!   folds of its run range, appended as they happen under chained seals,
+//!   so a SIGKILL costs at most `--checkpoint-every` runs of work.
 //! * **A corrupt part file** is quarantined by the salvage merge instead
 //!   of aborting the whole batch; the [`RepairPlan`] names the exact
 //!   `--shard i/N` re-runs that complete it.

@@ -96,9 +96,9 @@ use crate::scenario::{CellOutcome, CellReport, Scenario, ScenarioCell, ScenarioO
 use crate::session::{RunEvent, RunStats, StopRule};
 use crate::warm::WarmCache;
 use crate::wire::{
-    CampaignSlice, CellProgress, CellShard, Checkpoint, PartialCell, PartialOutcome,
-    PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot, COORD_FORMAT_VERSION,
-    SHARD_FORMAT_VERSION,
+    CampaignSlice, CellProgress, CellShard, Checkpoint, CheckpointBody, Journal, PartialCell,
+    PartialOutcome, PrefixEnvelope, PrefixTraffic, Sealed, StopDecision, WarmSnapshot,
+    CHECKPOINT_FORMAT_VERSION, COORD_FORMAT_VERSION, SHARD_FORMAT_VERSION,
 };
 use bcbpt_adversary::AdversaryForce;
 use bcbpt_cluster::ProtocolRegistry;
@@ -271,11 +271,13 @@ fn shard_mode(scenario: &Scenario) -> ShardMode {
     }
 }
 
-/// Where a checkpointing shard run persists its [`Checkpoint`]s: called
-/// under the fold lock at every checkpoint boundary. Returning `Err`
-/// aborts the shard run (a checkpointer that cannot write durably must
-/// not keep burning runs whose progress would be lost). `Send` because
-/// the fold evaluates its control hook from worker threads.
+/// Where a checkpointing shard run persists its journal: called with each
+/// [`Checkpoint`] record in turn — under the fold lock for the records of
+/// a cell in flight — and expected to append the record's
+/// [`to_json`](Checkpoint::to_json) line. Returning `Err` aborts the shard
+/// run (a checkpointer that cannot write durably must not keep burning
+/// runs whose progress would be lost). `Send` because the fold evaluates
+/// its control hook from worker threads.
 pub type CheckpointSink<'s> = dyn FnMut(&Checkpoint) -> Result<(), String> + Send + 's;
 
 /// Receives the live [`RunEvent`] stream of a shard run (see
@@ -291,15 +293,18 @@ pub struct ShardRunOptions<'a> {
     /// Worker-thread count (`None` = one per available core). Output is
     /// byte-identical for any value.
     pub threads: Option<usize>,
-    /// Continue from this checkpoint instead of starting at the plan's
-    /// first run. Must verify and must match the scenario and shard
-    /// coordinate, or the run is refused.
-    pub resume: Option<Checkpoint>,
-    /// Folds between mid-cell checkpoints (minimum 1). Ignored without a
+    /// Continue from this journal ([`Journal::read`] of what an earlier
+    /// run's `sink` wrote) instead of starting at the plan's first run.
+    /// Must match the scenario and shard coordinate, or the run is
+    /// refused. The records this run writes chain on from it, so its
+    /// `sink` must append to the same file, cut to
+    /// [`valid_len`](Journal::valid_len) first.
+    pub resume: Option<Journal>,
+    /// Folds per mid-cell journal record (minimum 1). Ignored without a
     /// `sink`.
     pub checkpoint_every: usize,
-    /// Receives every sealed [`Checkpoint`]; `None` disables
-    /// checkpointing.
+    /// Receives every sealed [`Checkpoint`] record of the run's journal;
+    /// `None` disables checkpointing.
     pub sink: Option<&'a mut CheckpointSink<'a>>,
     /// Receives the run's live [`RunEvent`] stream — for plan 0/1, what a
     /// [`ScenarioSession`](crate::ScenarioSession) observer sees (it is
@@ -390,16 +395,16 @@ pub fn run_shard_in(
 
 /// [`run_shard`] with full execution options: worker threads, mid-cell
 /// checkpointing through a [`CheckpointSink`], and resume from a prior
-/// [`Checkpoint`]. A killed-and-resumed shard produces a part
+/// run's [`Journal`]. A killed-and-resumed shard produces a part
 /// byte-identical to an uninterrupted run at any thread count.
 ///
 /// # Errors
 ///
-/// Everything [`run_shard`] rejects, plus: a resume checkpoint that fails
-/// [`Sealed::verify_seal`] or does not match this scenario and shard
-/// coordinate; a re-warmed snapshot that diverges from the checkpoint's;
-/// and a sink write failure (the run aborts — progress past a checkpoint
-/// that cannot be persisted would be silently lost on the next crash).
+/// Everything [`run_shard`] rejects, plus: a resume journal that does not
+/// match this scenario and shard coordinate; a re-warmed snapshot that
+/// diverges from the journal's; and a sink write failure (the run aborts
+/// — progress past a record that cannot be persisted would be silently
+/// lost on the next crash).
 pub fn run_shard_with(
     scenario: &Scenario,
     spec: ShardSpec,
@@ -524,13 +529,29 @@ fn execute(
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let checkpoint_every = options.checkpoint_every.max(1);
     let all_cells = scenario.cells();
+    let mut journal = options.sink.map(|sink| JournalWriter { sink, chain: 0 });
     let (mut cells, mut current) = match options.resume {
-        None => (Vec::new(), None),
-        Some(checkpoint) => validate_resume(checkpoint, scenario, digest, plan, &all_cells, mode)?,
+        None => {
+            if let Some(journal) = journal.as_mut() {
+                let header = CheckpointBody::Header {
+                    scenario: scenario.name.clone(),
+                    scenario_digest: digest,
+                    scenario_runs: scenario.runs,
+                    plan,
+                };
+                journal.append(header)?;
+            }
+            (Vec::new(), None)
+        }
+        Some(resume) => {
+            if let Some(journal) = journal.as_mut() {
+                journal.chain = resume.chain;
+            }
+            validate_resume(resume, scenario, digest, plan, &all_cells, mode)?
+        }
     };
     let mut outcomes = Vec::new();
     let first_cell = cells.len();
-    let mut sink = options.sink;
     let mut observer = options.observe;
     let planned_runs = planned_runs(scenario);
     for (cell_index, cell) in all_cells.into_iter().enumerate().skip(first_cell) {
@@ -540,7 +561,7 @@ fn execute(
             None
         };
         // A resumed cell's `CellStarted` (and run prefix) was already
-        // emitted by the run that wrote the checkpoint — the caller
+        // emitted by the run that wrote the journal — the caller
         // replays it via `checkpoint_replay_events`; this run streams the
         // continuation only.
         if resume_cell.is_none() {
@@ -567,11 +588,10 @@ fn execute(
                 plan,
                 resume_cell,
                 checkpoint_every,
-                &mut sink,
+                &mut journal,
                 &mut observer,
                 options.warm_cache,
                 digest,
-                &cells,
                 coordination,
                 local_stop,
             ),
@@ -639,12 +659,13 @@ fn execute(
                 planned_runs,
             )?);
         }
-        cells.push(done);
-        // Cell-boundary checkpoint: a crash between cells costs nothing.
-        if let Some(sink) = sink.as_mut() {
-            write_checkpoint(sink, scenario, digest, plan, cells.clone(), None)
-                .map_err(|e| format!("checkpoint write failed: {e}"))?;
+        // Cell-boundary record: a crash between cells costs nothing.
+        if let Some(journal) = journal.as_mut() {
+            journal.append(CheckpointBody::CellDone {
+                cell: without_run_streams(&done),
+            })?;
         }
+        cells.push(done);
     }
     if let Some(observer) = observer.as_mut() {
         let failed_parts = cells
@@ -660,29 +681,55 @@ fn execute(
     Ok((plan, digest, cells, outcomes))
 }
 
-/// Seals one [`Checkpoint`] of this shard run and hands it to `sink`.
-fn write_checkpoint(
-    sink: &mut CheckpointSink<'_>,
-    scenario: &Scenario,
-    scenario_digest: u64,
-    plan: ShardPlan,
-    cells_done: Vec<PartialCell>,
-    current: Option<CellProgress>,
-) -> Result<(), String> {
-    let mut checkpoint = Checkpoint {
-        version: SHARD_FORMAT_VERSION,
-        scenario: scenario.name.clone(),
-        scenario_digest,
-        scenario_runs: scenario.runs,
-        plan,
-        cells_done,
-        current,
-        digest: 0,
+/// The append side of a shard run's checkpoint journal: seals each record
+/// over the digest of the one before and hands it to the sink.
+struct JournalWriter<'s, 'a> {
+    sink: &'s mut CheckpointSink<'a>,
+    /// Digest of the last record written (or, on resume, restored): the
+    /// next record's `prev`.
+    chain: u64,
+}
+
+impl JournalWriter<'_, '_> {
+    /// Seals `body` as the journal's next record and persists it.
+    fn append(&mut self, body: CheckpointBody) -> Result<(), String> {
+        let mut record = Checkpoint {
+            version: CHECKPOINT_FORMAT_VERSION,
+            prev: self.chain,
+            body,
+            digest: 0,
+        };
+        record.seal();
+        let _span = bcbpt_obs::span("checkpoint");
+        let _timer = crate::obs::checkpoint_write_seconds().start_timer();
+        (self.sink)(&record).map_err(|e| format!("checkpoint write failed: {e}"))?;
+        self.chain = record.digest;
+        Ok(())
+    }
+}
+
+/// `done` as its cell-done record carries it: the runs and failures of a
+/// campaign cell are already in the journal, one fold record at a time
+/// (see [`CheckpointBody::CellDone`]).
+fn without_run_streams(done: &PartialCell) -> PartialCell {
+    let part = match &done.part {
+        CellShard::Campaign { slice } => CellShard::Campaign {
+            slice: CampaignSlice {
+                snapshot: slice.snapshot.clone(),
+                runs: Vec::new(),
+                failures: Vec::new(),
+                window_traffic: slice.window_traffic.clone(),
+                stop_at: slice.stop_at,
+            },
+        },
+        whole => whole.clone(),
     };
-    checkpoint.seal();
-    let _span = bcbpt_obs::span("checkpoint");
-    let _timer = crate::obs::checkpoint_write_seconds().start_timer();
-    sink(&checkpoint)
+    PartialCell {
+        label: done.label.clone(),
+        protocol: done.protocol.clone(),
+        num_nodes: done.num_nodes,
+        part,
+    }
 }
 
 /// The `planned_runs` every cell event of `scenario` reports: the `runs`
@@ -753,27 +800,26 @@ fn part_closing_event(
 
 /// Reconstructs the [`RunEvent`] prefix a resumed shard run does *not*
 /// re-emit: the full per-cell streams of every completed cell in
-/// `checkpoint.cells_done`, plus the in-flight cell's `CellStarted` and
+/// `journal.cells_done`, plus the in-flight cell's `CellStarted` and
 /// the run events of its persisted prefix. Feeding these to a subscriber
 /// and then continuing with [`ShardRunOptions::observe`] on the resumed
 /// run yields a stream byte-identical to an uninterrupted run's — run
-/// stats are refolded from the checkpoint's run stream bit-identically.
+/// stats are refolded from the journal's run stream bit-identically.
 ///
 /// # Errors
 ///
-/// Rejects a checkpoint that fails [`Sealed::verify_seal`] or does not
-/// belong to `scenario` (same checks as resuming through
-/// [`run_shard_with`]).
+/// Rejects a journal that does not belong to `scenario` (same checks as
+/// resuming through [`run_shard_with`]).
 pub fn checkpoint_replay_events(
     scenario: &Scenario,
-    checkpoint: &Checkpoint,
+    journal: &Journal,
 ) -> Result<Vec<RunEvent>, String> {
-    let plan = checkpoint.plan;
+    let plan = journal.plan;
     let digest = scenario.digest();
     let all_cells = scenario.cells();
     let mode = shard_mode(scenario);
     let (cells_done, current) =
-        validate_resume(checkpoint.clone(), scenario, digest, plan, &all_cells, mode)?;
+        validate_resume(journal.clone(), scenario, digest, plan, &all_cells, mode)?;
     let planned_runs = planned_runs(scenario);
     let mut events = Vec::new();
     for (cell_index, done) in cells_done.iter().enumerate() {
@@ -903,56 +949,56 @@ fn replay_run_events(
     }
 }
 
-/// Checks a resume [`Checkpoint`] against the scenario and shard
-/// coordinate this process was launched with, returning the restored
-/// completed cells and in-flight progress.
+/// Checks a resume [`Journal`] (its records verified and chained by
+/// [`Journal::read`]) against the scenario and shard coordinate this
+/// process was launched with, returning the restored completed cells and
+/// in-flight progress.
 fn validate_resume(
-    checkpoint: Checkpoint,
+    journal: Journal,
     scenario: &Scenario,
     digest: u64,
     plan: ShardPlan,
     cells: &[ScenarioCell],
     mode: ShardMode,
 ) -> Result<(Vec<PartialCell>, Option<CellProgress>), String> {
-    checkpoint.verify_seal()?;
-    if checkpoint.scenario != scenario.name || checkpoint.scenario_digest != digest {
+    if journal.scenario != scenario.name || journal.scenario_digest != digest {
         return Err(format!(
             "checkpoint belongs to scenario {:?} (digest {:#018x}), not {:?} (digest \
              {:#018x}) — resume with the checkpoint this scenario wrote, or re-run \
              without --resume",
-            checkpoint.scenario, checkpoint.scenario_digest, scenario.name, digest
+            journal.scenario, journal.scenario_digest, scenario.name, digest
         ));
     }
-    if checkpoint.scenario_runs != scenario.runs {
+    if journal.scenario_runs != scenario.runs {
         return Err(format!(
             "checkpoint carries a runs budget of {} but the scenario declares {} — the \
              file is corrupt",
-            checkpoint.scenario_runs, scenario.runs
+            journal.scenario_runs, scenario.runs
         ));
     }
-    if checkpoint.plan != plan {
+    if journal.plan != plan {
         return Err(format!(
             "checkpoint was written by shard {}/{} (runs {}..{}) but this process is \
              shard {}/{} (runs {}..{}) — resume each shard from its own checkpoint",
-            checkpoint.plan.shard_index,
-            checkpoint.plan.shard_count,
-            checkpoint.plan.run_start,
-            checkpoint.plan.run_end,
+            journal.plan.shard_index,
+            journal.plan.shard_count,
+            journal.plan.run_start,
+            journal.plan.run_end,
             plan.shard_index,
             plan.shard_count,
             plan.run_start,
             plan.run_end
         ));
     }
-    if checkpoint.cells_done.len() > cells.len() {
+    if journal.cells_done.len() > cells.len() {
         return Err(format!(
             "checkpoint claims {} completed cell(s) but the scenario sweeps {} — the \
              file is corrupt",
-            checkpoint.cells_done.len(),
+            journal.cells_done.len(),
             cells.len()
         ));
     }
-    for (done, expected) in checkpoint.cells_done.iter().zip(cells) {
+    for (done, expected) in journal.cells_done.iter().zip(cells) {
         if done.label != expected.label {
             return Err(format!(
                 "checkpoint cell {:?} does not match the scenario's cell {:?} in sweep \
@@ -961,7 +1007,7 @@ fn validate_resume(
             ));
         }
     }
-    if let Some(progress) = &checkpoint.current {
+    if let Some(progress) = &journal.current {
         if mode != ShardMode::Streaming {
             return Err(
                 "checkpoint carries mid-cell progress for a workload that only \
@@ -969,13 +1015,12 @@ fn validate_resume(
                     .to_string(),
             );
         }
-        if progress.cell_index != checkpoint.cells_done.len() || progress.cell_index >= cells.len()
-        {
+        if progress.cell_index != journal.cells_done.len() || progress.cell_index >= cells.len() {
             return Err(format!(
                 "checkpoint's in-flight cell index {} does not follow its {} completed \
                  cell(s) — the file is corrupt",
                 progress.cell_index,
-                checkpoint.cells_done.len()
+                journal.cells_done.len()
             ));
         }
         if progress.next_run < plan.run_start || progress.next_run > plan.run_end {
@@ -1036,12 +1081,12 @@ fn validate_resume(
             prev_boundary = Some(boundary.upto);
         }
     }
-    Ok((checkpoint.cells_done, checkpoint.current))
+    Ok((journal.cells_done, journal.current))
 }
 
 /// Runs one campaign cell's shard range: rebuild + warm the snapshot,
 /// execute only the (possibly resumed) remainder of `plan.run_range()`,
-/// and persist a sealed [`Checkpoint`] through `sink` every
+/// and append a record of the folds since the last one to `journal` every
 /// `checkpoint_every` folds. An empty range still warms the cell — the
 /// snapshot digest is this shard's proof that it agrees on the warmed
 /// state.
@@ -1067,11 +1112,10 @@ fn run_cell_shard(
     plan: ShardPlan,
     resume: Option<CellProgress>,
     checkpoint_every: usize,
-    sink: &mut Option<&mut CheckpointSink<'_>>,
+    journal: &mut Option<JournalWriter<'_, '_>>,
     observer: &mut Option<&mut ShardObserver<'_>>,
     warm: Option<&WarmCache>,
     scenario_digest: u64,
-    cells_done: &[PartialCell],
     coordination: Option<(&dyn StopCoordinator, usize)>,
     local_stop: Option<StopRule>,
 ) -> Result<CellShard, CellError> {
@@ -1080,6 +1124,8 @@ fn run_cell_shard(
     let started = Instant::now();
     let cfg = scenario.cell_config(cell);
     let start_run = resume.as_ref().map_or(plan.run_start, |p| p.next_run);
+    // A resumed cell's journal already holds its cell-warmed record.
+    let mut warmed_journaled = resume.is_some();
     let (resumed_snapshot, prefix_runs, prefix_failures, prefix_window, mut boundary_traffic) =
         match resume {
             Some(p) => (
@@ -1117,7 +1163,7 @@ fn run_cell_shard(
             .map_err(|e| CellError::Recorded(format!("coordinator: {e}")))?;
     }
     // Refold the resumed prefix once, in run-index order: the result seeds
-    // the campaign fold (so every later checkpoint carries whole-prefix
+    // the campaign fold (so every later fold carries whole-prefix
     // statistics for the observer, the coordinator envelope and the local
     // rule alike), and along the way a resumed shard resubmits the
     // envelopes it already crossed — bit-identical to the originals, so
@@ -1168,13 +1214,17 @@ fn run_cell_shard(
     let planned_end = plan.kept_range(stop_known).end;
     // The warm inspection (main thread, before runs fan out) fills this
     // slot; the control hook (under the fold lock, possibly on a worker)
-    // reads it for every mid-cell checkpoint — hence the mutex.
+    // reads it for the journal and the boundary traffic — hence the mutex.
     let snapshot_slot: Mutex<Option<WarmSnapshot>> = Mutex::new(None);
     let mut inspect = |net: &Network| {
         *snapshot_slot.lock().expect("snapshot slot") = Some(WarmSnapshot::capture(&cfg, net));
     };
     let mut sink_error: Option<String> = None;
     let mut coord_error: Option<String> = None;
+    // How much of what the fold lends (`runs`, `failures`) and of
+    // `boundary_traffic` the journal already holds.
+    let (mut runs_journaled, mut failures_journaled) = (0, 0);
+    let mut boundaries_journaled = boundary_traffic.len();
     let mut control = |checkpoint: &RunCheckpoint<'_>| {
         let mut stop = false;
         let upto = checkpoint.run_index + 1;
@@ -1226,41 +1276,51 @@ fn run_cell_shard(
                 }
             }
         }
-        if let Some(sink) = sink.as_mut() {
-            if (upto - start_run).is_multiple_of(checkpoint_every) {
+        if let Some(journal) = journal.as_mut() {
+            // The cell's last fold closes a record whatever the cadence:
+            // the cell-done record that follows carries no runs.
+            let last_fold = stop || upto == planned_end;
+            if last_fold || (upto - start_run).is_multiple_of(checkpoint_every) {
                 let snapshot_guard = snapshot_slot.lock().expect("snapshot slot");
                 let snapshot = snapshot_guard
                     .as_ref()
                     .expect("warm inspection runs before folds");
-                // The resumed prefix plus what this process folded since —
-                // lent by the fold, so this is the only copy made.
-                let mut runs = prefix_runs.clone();
-                runs.extend_from_slice(checkpoint.runs);
-                let mut failures = prefix_failures.clone();
-                failures.extend_from_slice(checkpoint.failures);
                 let mut window_traffic = prefix_window.clone();
                 window_traffic.merge(&checkpoint.traffic.since(&snapshot.warmup_traffic));
-                let progress = CellProgress {
+                let warmed = (!warmed_journaled).then(|| CheckpointBody::CellWarmed {
                     cell_index,
                     snapshot: snapshot.clone(),
-                    runs,
-                    failures,
+                });
+                drop(snapshot_guard);
+                // Only what was folded since the last record is copied.
+                let folds = CheckpointBody::Folds {
+                    cell_index,
+                    runs: checkpoint.runs[runs_journaled..].to_vec(),
+                    failures: checkpoint.failures[failures_journaled..].to_vec(),
                     window_traffic,
-                    boundary_traffic: boundary_traffic.clone(),
+                    boundary_traffic: boundary_traffic[boundaries_journaled..].to_vec(),
                     next_run: upto,
                 };
-                drop(snapshot_guard);
-                let done = cells_done.to_vec();
-                if let Err(e) =
-                    write_checkpoint(sink, scenario, scenario_digest, plan, done, Some(progress))
-                {
-                    sink_error = Some(e);
-                    stop = true;
+                let written = warmed
+                    .into_iter()
+                    .chain([folds])
+                    .try_for_each(|body| journal.append(body));
+                match written {
+                    Ok(()) => {
+                        warmed_journaled = true;
+                        runs_journaled = checkpoint.runs.len();
+                        failures_journaled = checkpoint.failures.len();
+                        boundaries_journaled = boundary_traffic.len();
+                    }
+                    Err(e) => {
+                        sink_error = Some(e);
+                        stop = true;
+                    }
                 }
             }
         }
         // `DieAfterRuns` dies here — after the fold (and after any
-        // checkpoint for it was persisted), like a real mid-campaign kill.
+        // record of it was persisted), like a real mid-campaign kill.
         #[cfg(feature = "fault-injection")]
         crate::resilience::fault::note_run_folded();
         stop
@@ -1278,9 +1338,7 @@ fn run_cell_shard(
         )
         .map_err(CellError::Recorded)?;
     if let Some(error) = sink_error {
-        return Err(CellError::Fatal(format!(
-            "checkpoint write failed: {error}"
-        )));
+        return Err(CellError::Fatal(error));
     }
     if let Some(error) = coord_error {
         return Err(CellError::Recorded(format!("coordinator: {error}")));
@@ -2414,9 +2472,8 @@ mod tests {
     }
 
     /// The slice a PR 13 (format v3) binary wrote for the one run of a
-    /// 10-node `v3-literal` scenario — shared verbatim by the part and the
-    /// mid-cell checkpoint below, with the accumulators and (in the part)
-    /// the `runs_used` count that v4 dropped.
+    /// 10-node `v3-literal` scenario, with the accumulators and the
+    /// `runs_used` count that v4 dropped.
     const V3_SLICE: &str = r#""snapshot":{"version":3,"protocol":"bitcoin","num_nodes":10,"seed":48313,"warmup_ms":200.0,"window_ms":1000.0,"online":10,"warmup_traffic":{"counts":{"Version":45,"Verack":45,"GetAddr":20,"Addr":20},"bytes":{"Version":4950,"Verack":1080,"GetAddr":480,"Addr":5300},"withheld":{}},"cluster_sizes":[],"digest":17593532630840512802},"runs":[{"run_index":0,"origin":1,"deltas_ms":[362.328,295.61,286.893,335.847,288.721,243.107,394.035,343.405],"arrival_delays_ms":[335.385,283.997,218.741,314.075,265.809,235.907,307.982,313.356,109.701],"reached":9,"online":10}],"failures":[],"window_traffic":{"counts":{"GetAddr":99,"Addr":99,"Inv":72,"GetData":8,"Tx":9},"bytes":{"GetAddr":2376,"Addr":26235,"Inv":4392,"GetData":488,"Tx":4716},"withheld":{}},"deltas":{"summary":{"count":8,"mean":318.74325000000005,"m2":16640.981717499995,"min":243.107,"max":394.035}},"run_means":{"summary":{"count":1,"mean":318.74325,"m2":0.0,"min":318.74325,"max":318.74325}},"ecdf":{"samples":[362.328,295.61,286.893,335.847,288.721,243.107,394.035,343.405]}"#;
     const V3_HEAD: &str =
         r#""version":3,"scenario":"v3-literal","scenario_digest":4701204051680109327"#;
@@ -2431,13 +2488,6 @@ mod tests {
             r#"{{{V3_HEAD},"workload":"TxFlood",{V3_PLAN},"cells":[{cell}],"digest":5100961288751493244}}"#
         ))
         .expect("a v3 part still parses — the removed keys are ignored")
-    }
-
-    fn v3_checkpoint() -> Checkpoint {
-        Checkpoint::from_json(&format!(
-            r#"{{{V3_HEAD},{V3_PLAN},"cells_done":[],"current":{{"cell_index":0,{V3_SLICE},"boundary_traffic":[],"next_run":1}},"digest":15381986678808608238}}"#
-        ))
-        .expect("a v3 checkpoint still parses — the removed keys are ignored")
     }
 
     #[test]
@@ -2466,29 +2516,122 @@ mod tests {
         assert!(report.quarantined[0].reason.contains("version 3"));
     }
 
-    #[test]
-    fn a_v3_checkpoint_is_refused_on_resume_and_on_replay() {
-        let scenario = tiny(1);
-        let err = run_shard_with(
-            &scenario,
-            ShardSpec::new(0, 1).unwrap(),
+    /// The records a checkpointing run of `scenario` as shard `spec` hands
+    /// its sink, and the part it returns.
+    fn journaled(scenario: &Scenario, spec: ShardSpec) -> (PartialOutcome, Vec<Checkpoint>) {
+        let mut records: Vec<Checkpoint> = Vec::new();
+        let mut sink = |record: &Checkpoint| -> Result<(), String> {
+            records.push(record.clone());
+            Ok(())
+        };
+        let part = run_shard_with(
+            scenario,
+            spec,
             &ProtocolRegistry::builtins(),
             ShardRunOptions {
-                resume: Some(v3_checkpoint()),
+                sink: Some(&mut sink),
                 ..ShardRunOptions::default()
             },
         )
-        .unwrap_err();
+        .unwrap();
+        (part, records)
+    }
+
+    /// The journal file `records` make: one line each.
+    fn journal_bytes(records: &[Checkpoint]) -> Vec<u8> {
+        let lines = records.iter().map(|r| format!("{}\n", r.to_json()));
+        lines.collect::<String>().into_bytes()
+    }
+
+    #[test]
+    fn a_v4_whole_prefix_checkpoint_is_refused_by_its_version() {
+        // What `--checkpoint` left behind before the journal: one indented
+        // document, written by the PR 17 binary.
+        let v4 = include_bytes!("../../../tests/fixtures/checkpoint-v4.json");
+        let err = Journal::read(v4).unwrap_err();
         assert!(
-            err.contains("checkpoint has wire-format version 3"),
+            err.contains("checkpoint has wire-format version 4 but this binary speaks 5"),
             "{err}"
         );
         assert!(err.contains("without --resume"), "{err}");
-        let err = checkpoint_replay_events(&scenario, &v3_checkpoint()).unwrap_err();
+    }
+
+    #[test]
+    fn the_journal_is_linear_in_the_folds_and_reads_back_to_the_part() {
+        let scenario = tiny(6);
+        let spec = ShardSpec::new(0, 1).unwrap();
+        let (part, records) = journaled(&scenario, spec);
+        assert_eq!(part, run_shard(&scenario, spec).unwrap());
+        // Header, then per cell: warmed, one record per fold, done.
+        let cells = part.cells.len();
+        assert_eq!(records.len(), 1 + cells * (1 + 6 + 1));
+        let bytes = journal_bytes(&records);
         assert!(
-            err.contains("checkpoint has wire-format version 3"),
-            "{err}"
+            bytes.len() < part.to_json().len(),
+            "a journal of {} bytes for a part of {}",
+            bytes.len(),
+            part.to_json().len()
         );
+        let journal = Journal::read(&bytes).unwrap();
+        assert_eq!(journal.cells_done, part.cells);
+        assert_eq!(journal.current, None);
+        assert_eq!(journal.valid_len, bytes.len());
+        assert_eq!(journal.chain, records.last().unwrap().digest);
+        // `checkpoint_every` batches folds per record; the last record of
+        // a cell takes whatever is left.
+        let mut records: Vec<Checkpoint> = Vec::new();
+        let mut sink = |record: &Checkpoint| -> Result<(), String> {
+            records.push(record.clone());
+            Ok(())
+        };
+        let batched = run_shard_with(
+            &scenario,
+            spec,
+            &ProtocolRegistry::builtins(),
+            ShardRunOptions {
+                checkpoint_every: 4,
+                sink: Some(&mut sink),
+                ..ShardRunOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(batched, part);
+        assert_eq!(records.len(), 1 + cells * (1 + 2 + 1));
+        assert_eq!(
+            Journal::read(&journal_bytes(&records)).unwrap().cells_done,
+            part.cells
+        );
+    }
+
+    #[test]
+    fn the_journal_reader_keeps_the_valid_prefix_and_nothing_after_it() {
+        let scenario = tiny(3);
+        let (_, records) = journaled(&scenario, ShardSpec::new(0, 1).unwrap());
+        let bytes = journal_bytes(&records);
+        let ends: Vec<usize> = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        // A tail torn anywhere inside record k reads as records 0..k.
+        let whole = Journal::read(&bytes[..ends[4]]).unwrap();
+        for cut in ends[4] + 1..ends[5] {
+            let torn = Journal::read(&bytes[..cut]).unwrap();
+            assert_eq!(torn, whole, "cut at byte {cut}");
+            assert_eq!(torn.valid_len, ends[4]);
+        }
+        // A record that verifies but does not chain ends the prefix: here
+        // record 3 is missing, so 4 does not follow 2.
+        let mut gapped = bytes[..ends[2]].to_vec();
+        gapped.extend_from_slice(&bytes[ends[3]..]);
+        let read = Journal::read(&gapped).unwrap();
+        assert_eq!(read, Journal::read(&bytes[..ends[2]]).unwrap());
+        // Nothing before a valid header: refused, by name.
+        for broken in [&b""[..], &bytes[..ends[0] - 1], &bytes[ends[0]..]] {
+            let err = Journal::read(broken).unwrap_err();
+            assert!(err.contains("no valid header record"), "{err}");
+        }
     }
 
     #[test]
@@ -2626,34 +2769,22 @@ mod tests {
     #[test]
     fn checkpoint_replay_plus_continuation_matches_uninterrupted_stream() {
         // Kill-and-resume must not tear the event stream: replaying the
-        // checkpoint's prefix and observing the resumed run concatenates
+        // journal's prefix and observing the resumed run concatenates
         // to the exact uninterrupted stream (pooled stats included, which
         // the resumed fold alone could not know).
         let scenario = tiny(5);
         let spec = ShardSpec::new(0, 1).unwrap();
         let registry = ProtocolRegistry::builtins();
         let reference = session_events(&scenario);
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut sink = |checkpoint: &Checkpoint| -> Result<(), String> {
-            checkpoints.push(checkpoint.clone());
-            Ok(())
-        };
-        let uninterrupted = run_shard_with(
-            &scenario,
-            spec,
-            &registry,
-            ShardRunOptions {
-                sink: Some(&mut sink),
-                ..ShardRunOptions::default()
-            },
-        )
-        .unwrap();
-        // Resume from a mid-cell checkpoint (2 runs folded).
-        let resume_from = checkpoints
+        let (uninterrupted, records) = journaled(&scenario, spec);
+        // Resume from mid-cell: the journal as of the record of run 1
+        // (2 runs folded).
+        let cut = records
             .iter()
-            .find(|c| c.current.as_ref().is_some_and(|p| p.next_run == 2))
-            .expect("mid-cell checkpoint at run 2")
-            .clone();
+            .position(|r| matches!(r.body, CheckpointBody::Folds { next_run: 2, .. }))
+            .expect("the record of the second fold");
+        let resume_from = Journal::read(&journal_bytes(&records[..=cut])).unwrap();
+        assert_eq!(resume_from.current.as_ref().map(|p| p.next_run), Some(2));
         let mut stream = checkpoint_replay_events(&scenario, &resume_from).unwrap();
         let mut observe = |event: &RunEvent| stream.push(event.clone());
         let resumed = run_shard_with(
@@ -2674,25 +2805,11 @@ mod tests {
     #[test]
     fn checkpoint_replay_rejects_a_foreign_checkpoint() {
         let scenario = tiny(4);
-        let registry = ProtocolRegistry::builtins();
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut sink = |checkpoint: &Checkpoint| -> Result<(), String> {
-            checkpoints.push(checkpoint.clone());
-            Ok(())
-        };
-        run_shard_with(
-            &scenario,
-            ShardSpec::new(0, 1).unwrap(),
-            &registry,
-            ShardRunOptions {
-                sink: Some(&mut sink),
-                ..ShardRunOptions::default()
-            },
-        )
-        .unwrap();
+        let (_, records) = journaled(&scenario, ShardSpec::new(0, 1).unwrap());
+        let journal = Journal::read(&journal_bytes(&records[..3])).unwrap();
         let mut other = tiny(4);
         other.seed += 1;
-        let err = checkpoint_replay_events(&other, &checkpoints[0]).unwrap_err();
+        let err = checkpoint_replay_events(&other, &journal).unwrap_err();
         assert!(err.contains("digest"), "{err}");
     }
 }

@@ -2,22 +2,26 @@
 //! crosses a process boundary, the two format versions, and the one seal
 //! they all share.
 //!
-//! Two families, each under its own version constant:
+//! Three families, each under its own version constant:
 //!
-//! - [`SHARD_FORMAT_VERSION`] — [`WarmSnapshot`], [`PartialOutcome`] (what
-//!   `scenario shard run` writes and `scenario shard merge` reads) and
-//!   [`Checkpoint`] (what a killed shard resumes from);
+//! - [`SHARD_FORMAT_VERSION`] — [`WarmSnapshot`] and [`PartialOutcome`]
+//!   (what `scenario shard run` writes and `scenario shard merge` reads);
+//! - [`CHECKPOINT_FORMAT_VERSION`] — [`Checkpoint`], one record of the
+//!   append-only journal a killed shard resumes from ([`Journal::read`]);
 //! - [`COORD_FORMAT_VERSION`] — [`CoordinatorConfig`], [`PrefixEnvelope`]
 //!   and [`StopDecision`] (the coordinated-stop round of
 //!   [`crate::coordinate`]).
 //!
-//! A part and a checkpoint carry *sources* only — snapshot identity, the
-//! run stream, run failures, integer window traffic and the stop index —
-//! and nothing derivable from them: the merge and resume refold whatever
-//! statistics they need from the run stream, in run-index order, which is
-//! the only way to get them bit-identical anyway. (Format v3 also shipped
-//! the folded `deltas`/`run_means`/`ecdf` accumulators and a `runs_used`
-//! count per slice; no reader ever used them, so v4 dropped them.)
+//! A part and a checkpoint journal carry *sources* only — snapshot
+//! identity, the run stream, run failures, integer window traffic and the
+//! stop index — and nothing derivable from them: the merge and resume
+//! refold whatever statistics they need from the run stream, in run-index
+//! order, which is the only way to get them bit-identical anyway. (Format
+//! v3 also shipped the folded `deltas`/`run_means`/`ecdf` accumulators and
+//! a `runs_used` count per slice; no reader ever used them, so v4 dropped
+//! them.) The journal carries each of them *once*: a fold is one appended
+//! record, so checkpointing costs bytes proportional to what was folded,
+//! not to the prefix folded so far.
 //!
 //! Every envelope is [`Sealed`]: it stamps the version of its family and
 //! an FNV-1a content digest over its own canonical serialization. A
@@ -38,8 +42,8 @@ use bcbpt_net::{MessageStats, Network};
 use bcbpt_stats::StreamingSummary;
 use serde::{Deserialize, Serialize};
 
-/// Version of the shard wire format ([`WarmSnapshot`], [`PartialOutcome`]
-/// and [`Checkpoint`] envelopes). Bumped whenever their serialized shape
+/// Version of the shard wire format ([`WarmSnapshot`] and
+/// [`PartialOutcome`] envelopes). Bumped whenever their serialized shape
 /// or the digest recipe changes; every receiver refuses any other version.
 /// Version 2 added per-part content digests and the `failures` stream
 /// (panic isolation). Version 3 replaced the shard-0-only
@@ -49,6 +53,13 @@ use serde::{Deserialize, Serialize};
 /// everything derivable from the run stream (see the module docs) and
 /// keys parts by [`Scenario::digest`](crate::Scenario::digest).
 pub const SHARD_FORMAT_VERSION: u32 = 4;
+
+/// Version of the checkpoint journal's [`Checkpoint`] records. It continues
+/// the shard family's numbering, which checkpoints shared up to version 4
+/// (one whole-prefix document per file, rewritten at every fold): a file
+/// left by such a binary is refused by that number, never half-understood.
+/// Version 5 is the append-only journal of chained records.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// Version of the coordinator wire format ([`CoordinatorConfig`],
 /// [`PrefixEnvelope`], [`StopDecision`]). Bumped on any change to the
@@ -103,13 +114,7 @@ pub trait Sealed: Serialize + Clone {
     /// Names the envelope, the mismatch and the remedy.
     fn verify_seal(&self) -> Result<(), String> {
         if self.version() != Self::VERSION {
-            return Err(format!(
-                "{} has wire-format version {} but this binary speaks {} — {}",
-                Self::NAME,
-                self.version(),
-                Self::VERSION,
-                Self::REMEDY
-            ));
+            return Err(version_skew::<Self>(u64::from(self.version())));
         }
         let (stored, expected) = fingerprint(self);
         if stored != expected {
@@ -121,6 +126,16 @@ pub trait Sealed: Serialize + Clone {
         }
         Ok(())
     }
+}
+
+/// What refusing a `T` stamped with wire-format version `found` says.
+fn version_skew<T: Sealed>(found: u64) -> String {
+    format!(
+        "{} has wire-format version {found} but this binary speaks {} — {}",
+        T::NAME,
+        T::VERSION,
+        T::REMEDY
+    )
 }
 
 /// The digest `envelope` stores and the one its other fields imply.
@@ -163,7 +178,7 @@ sealed!(
 sealed!(
     Checkpoint,
     "checkpoint",
-    SHARD_FORMAT_VERSION,
+    CHECKPOINT_FORMAT_VERSION,
     "the file is torn, corrupt or from another binary; delete it and re-run the shard without \
      --resume"
 );
@@ -442,12 +457,13 @@ pub struct PrefixTraffic {
     pub traffic: MessageStats,
 }
 
-/// Mid-cell progress of a checkpointed shard: the folded prefix of the
-/// current campaign cell as a [`CampaignSlice`] would carry it, plus the
-/// next run index to execute. On `--resume` the shard re-warms the cell,
-/// verifies the recomputed [`WarmSnapshot`] equals `snapshot`, refolds
-/// `runs` to seed its statistics, and continues from `next_run`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Mid-cell progress of a checkpointed shard, as [`Journal::read`]
+/// rebuilds it: the folded prefix of the in-flight campaign cell as a
+/// [`CampaignSlice`] would carry it, plus the next run index to execute.
+/// On `--resume` the shard re-warms the cell, verifies the recomputed
+/// [`WarmSnapshot`] equals `snapshot`, refolds `runs` to seed its
+/// statistics, and continues from `next_run`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellProgress {
     /// Index of the in-flight cell (== number of completed cells).
     pub cell_index: usize,
@@ -468,64 +484,284 @@ pub struct CellProgress {
     pub next_run: usize,
 }
 
-/// A digest-sealed shard checkpoint: everything a killed shard process
-/// needs to continue from its last durable fold point and still produce a
-/// part byte-identical to an uninterrupted run.
+/// What one [`Checkpoint`] record adds to the journal.
+// One value per fold, built once and serialized immediately — the size
+// skew between `Folds`/`CellDone` and the rest never multiplies.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum CheckpointBody {
+    /// The journal's first record: which shard of which scenario wrote it.
+    Header {
+        /// The scenario's name.
+        scenario: String,
+        /// [`Scenario::digest`](crate::Scenario::digest) of the exact
+        /// scenario the shard is running.
+        scenario_digest: u64,
+        /// The scenario's whole `runs` budget.
+        scenario_runs: usize,
+        /// The shard's coordinate and run range.
+        plan: ShardPlan,
+    },
+    /// Cell `cell_index` warmed and is about to fold its first run.
+    CellWarmed {
+        /// Index of the cell (== number of `CellDone` records before it).
+        cell_index: usize,
+        /// Identity of the warmed-up snapshot its runs replay.
+        snapshot: WarmSnapshot,
+    },
+    /// The folds of cell `cell_index` since its previous record
+    /// ([`ShardRunOptions::checkpoint_every`](crate::ShardRunOptions) of
+    /// them, fewer when the cell ends first).
+    Folds {
+        /// Index of the in-flight cell.
+        cell_index: usize,
+        /// The measuring runs folded since the previous record.
+        runs: Vec<RunResult>,
+        /// The run failures folded since the previous record.
+        failures: Vec<RunFailure>,
+        /// Measurement-window traffic of the *whole* folded prefix
+        /// (total minus warmup) — cumulative, so the newest record wins.
+        window_traffic: MessageStats,
+        /// Window traffic frozen at the coordinator boundaries crossed
+        /// since the previous record.
+        boundary_traffic: Vec<PrefixTraffic>,
+        /// First run index not folded yet.
+        next_run: usize,
+    },
+    /// A cell finished. A [`CellShard::Campaign`] cell's `runs` and
+    /// `failures` are left empty here — they are the cell's `Folds`
+    /// records, cut at `stop_at` — so nothing is written twice; every
+    /// other kind of cell is carried whole.
+    CellDone {
+        /// The finished cell, as the part will carry it.
+        cell: PartialCell,
+    },
+}
+
+/// One digest-sealed record of a shard's checkpoint journal: the file a
+/// killed shard process resumes from, still producing a part byte-identical
+/// to an uninterrupted run.
 ///
-/// Wire format (JSON, written atomically as tmp + rename):
+/// The journal is JSON lines, appended to and never rewritten — one
+/// [`to_json`](Self::to_json) line per record, so a checkpoint costs bytes
+/// proportional to the folds it adds, not to the prefix folded so far:
 ///
 /// | field | contents |
 /// |---|---|
-/// | `version` | [`SHARD_FORMAT_VERSION`] |
-/// | `scenario` | scenario name |
-/// | `scenario_digest` | [`Scenario::digest`](crate::Scenario::digest) of the exact scenario |
-/// | `scenario_runs` | the scenario's whole `runs` budget |
-/// | `plan` | the shard's [`ShardPlan`] |
-/// | `cells_done` | completed cells, as final [`PartialCell`]s |
-/// | `current` | [`CellProgress`] of the in-flight cell (absent between cells) |
+/// | `version` | [`CHECKPOINT_FORMAT_VERSION`] |
+/// | `prev` | `digest` of the previous record (0 for the header) |
+/// | `body` | a [`CheckpointBody`]: header, cell-warmed, folds or cell-done |
 /// | `digest` | FNV-1a over the canonical serialization with `digest` zeroed |
 ///
-/// A torn or edited checkpoint file fails
-/// [`verify_seal`](Sealed::verify_seal) — `--resume` rejects it instead of
-/// continuing from corrupt state.
+/// Because `digest` covers `prev`, the seals form a chain: a record is
+/// only as valid as everything before it. [`Journal::read`] follows the
+/// chain and stops at the first line that is torn, edited or out of place
+/// — a crash mid-append costs the folds of that one record, nothing else.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// Shard wire-format version.
+    /// Checkpoint wire-format version.
     pub version: u32,
-    /// The scenario's name.
-    pub scenario: String,
-    /// Digest of the exact scenario the shard is running.
-    pub scenario_digest: u64,
-    /// The scenario's whole `runs` budget.
-    pub scenario_runs: usize,
-    /// The shard's coordinate and run range.
-    pub plan: ShardPlan,
-    /// Cells completed before the checkpoint, in sweep order — restored
-    /// verbatim on resume (they are final).
-    pub cells_done: Vec<PartialCell>,
-    /// The in-flight cell's folded prefix, absent at cell boundaries.
-    pub current: Option<CellProgress>,
+    /// Digest of the record before this one; 0 for the header.
+    pub prev: u64,
+    /// What the record adds.
+    pub body: CheckpointBody,
     /// FNV-1a content digest over the canonical serialization of every
     /// field above (with `digest` itself zeroed).
     pub digest: u64,
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint as indented JSON.
+    /// Serializes the record as its one journal line (no newline).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("checkpoint serializes")
+        serde_json::to_string(self).expect("checkpoint serializes")
     }
+}
 
-    /// Parses a checkpoint from JSON. Parse failure is the torn-file
-    /// fast path; [`verify_seal`](Sealed::verify_seal) catches tears that
-    /// still parse.
+/// The valid prefix of a checkpoint journal, folded back into the state a
+/// resumed shard continues from: the header's identity, the cells that
+/// finished, the in-flight cell's progress, and where to append next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Journal {
+    /// The scenario's name.
+    pub scenario: String,
+    /// Digest of the exact scenario the shard was running.
+    pub scenario_digest: u64,
+    /// The scenario's whole `runs` budget.
+    pub scenario_runs: usize,
+    /// The shard's coordinate and run range.
+    pub plan: ShardPlan,
+    /// Cells completed so far, in sweep order — restored verbatim on
+    /// resume (they are final).
+    pub cells_done: Vec<PartialCell>,
+    /// The in-flight cell's folded prefix, absent at cell boundaries.
+    pub current: Option<CellProgress>,
+    /// Digest of the last valid record: the `prev` of the next one.
+    pub chain: u64,
+    /// Length in bytes of the valid prefix. A resumed shard truncates the
+    /// file to this before it appends, so a torn tail never sits between
+    /// two valid records.
+    pub valid_len: usize,
+}
+
+impl Journal {
+    /// Reads a journal file's bytes: follows the records from the header
+    /// for as long as each is a complete line, parses, verifies its seal,
+    /// chains to the one before and fits the state so far — and keeps
+    /// exactly that prefix. Whatever follows (a torn append, a flipped
+    /// byte and everything sealed after it) is dropped, not an error: the
+    /// resumed shard re-executes those folds.
     ///
     /// # Errors
     ///
-    /// Returns the parse/shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid checkpoint: {e}"))
+    /// No valid header — the file is empty, torn inside its first record,
+    /// or not a journal of this format. A file stamped with another
+    /// wire-format version (a whole-prefix checkpoint of format 4 or
+    /// older) is refused by that version.
+    pub fn read(bytes: &[u8]) -> Result<Journal, String> {
+        // The complete line starting at `offset`, and where the next starts.
+        let line_at = |offset: usize| {
+            let len = bytes[offset..].iter().position(|&b| b == b'\n')?;
+            Some((&bytes[offset..offset + len], offset + len + 1))
+        };
+        let header = line_at(0)
+            .ok_or_else(|| "the file holds no complete record".to_string())
+            .and_then(|(line, end)| Journal::open(parse_record(line, 0)?, end));
+        let mut journal = header.map_err(|broke| {
+            // A whole-prefix checkpoint (format ≤ 4) is one indented
+            // document, not lines: sniff the version of either shape.
+            let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            let version = [first_line, bytes].into_iter().find_map(|text| {
+                let text = std::str::from_utf8(text).ok()?;
+                let value: serde::Value = serde_json::from_str(text).ok()?;
+                match serde::map_get(value.as_map()?, "version") {
+                    serde::Value::U64(version) => Some(*version),
+                    _ => None,
+                }
+            });
+            match version {
+                Some(found) if found != u64::from(CHECKPOINT_FORMAT_VERSION) => {
+                    version_skew::<Checkpoint>(found)
+                }
+                _ => format!(
+                    "checkpoint journal has no valid header record ({broke}) — {}",
+                    Checkpoint::REMEDY
+                ),
+            }
+        })?;
+        while let Some((line, end)) = line_at(journal.valid_len) {
+            let applied = parse_record(line, journal.chain).and_then(|r| journal.apply(r));
+            if let Err(broke) = applied {
+                bcbpt_obs::info!(
+                    "checkpoint journal: {broke} — dropping the {} byte(s) after byte {}",
+                    bytes.len() - journal.valid_len,
+                    journal.valid_len
+                );
+                break;
+            }
+            journal.valid_len = end;
+        }
+        Ok(journal)
     }
+
+    /// Starts a journal from its first record, which must be the header
+    /// and ends at byte `valid_len`.
+    fn open(record: Checkpoint, valid_len: usize) -> Result<Journal, String> {
+        let CheckpointBody::Header {
+            scenario,
+            scenario_digest,
+            scenario_runs,
+            plan,
+        } = record.body
+        else {
+            return Err("the first record is not a header".to_string());
+        };
+        Ok(Journal {
+            scenario,
+            scenario_digest,
+            scenario_runs,
+            plan,
+            cells_done: Vec::new(),
+            current: None,
+            chain: record.digest,
+            valid_len,
+        })
+    }
+
+    /// Folds one chained record into the state, or — leaving the state as
+    /// it was — says why the record does not follow from it.
+    fn apply(&mut self, record: Checkpoint) -> Result<(), String> {
+        let next_cell = self.cells_done.len();
+        match record.body {
+            CheckpointBody::Header { .. } => return Err("a second header".to_string()),
+            CheckpointBody::CellWarmed {
+                cell_index,
+                snapshot,
+            } => {
+                if cell_index != next_cell || self.current.is_some() {
+                    return Err(format!("cell {cell_index} warmed out of order"));
+                }
+                self.current = Some(CellProgress {
+                    cell_index,
+                    snapshot,
+                    runs: Vec::new(),
+                    failures: Vec::new(),
+                    window_traffic: MessageStats::new(),
+                    boundary_traffic: Vec::new(),
+                    next_run: self.plan.run_start,
+                });
+            }
+            CheckpointBody::Folds {
+                cell_index,
+                runs,
+                failures,
+                window_traffic,
+                boundary_traffic,
+                next_run,
+            } => {
+                let progress = self
+                    .current
+                    .as_mut()
+                    .filter(|p| p.cell_index == cell_index && p.next_run <= next_run)
+                    .ok_or_else(|| format!("folds of cell {cell_index} out of order"))?;
+                progress.runs.extend(runs);
+                progress.failures.extend(failures);
+                progress.window_traffic = window_traffic;
+                progress.boundary_traffic.extend(boundary_traffic);
+                progress.next_run = next_run;
+            }
+            CheckpointBody::CellDone { mut cell } => {
+                // `current`, when present, is this cell's: `CellWarmed`
+                // only ever opens cell `next_cell`.
+                if let (CellShard::Campaign { slice }, Some(progress)) =
+                    (&mut cell.part, self.current.take())
+                {
+                    let kept_end = self.plan.kept_range(slice.stop_at).end;
+                    slice.runs = progress.runs;
+                    slice.runs.retain(|r| r.run_index < kept_end);
+                    slice.failures = progress.failures;
+                    slice.failures.retain(|f| f.run_index < kept_end);
+                }
+                self.cells_done.push(cell);
+            }
+        }
+        self.chain = record.digest;
+        Ok(())
+    }
+}
+
+/// One journal line as a record that verifies and chains to `prev`.
+fn parse_record(line: &[u8], prev: u64) -> Result<Checkpoint, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("invalid checkpoint: {e}"))?;
+    let record: Checkpoint =
+        serde_json::from_str(text).map_err(|e| format!("invalid checkpoint: {e}"))?;
+    record.verify_seal()?;
+    if record.prev != prev {
+        return Err(format!(
+            "checkpoint chains to {:#018x}, not to the record before it ({prev:#018x})",
+            record.prev
+        ));
+    }
+    Ok(record)
 }
 
 /// The coordinator's identity card, fetched by every joining shard: which
@@ -729,8 +965,10 @@ mod tests {
         };
         refuses_skew_and_corruption(&slice.snapshot);
         refuses_skew_and_corruption(&part);
-        let mid_cell = checkpoints.iter().find(|c| c.current.is_some());
-        refuses_skew_and_corruption(mid_cell.expect("a mid-cell checkpoint"));
+        let folds = checkpoints
+            .iter()
+            .find(|c| matches!(c.body, CheckpointBody::Folds { .. }));
+        refuses_skew_and_corruption(folds.expect("a folds record"));
 
         let coordinator = LocalCoordinator::new(&scenario, 2, 2).unwrap();
         let config = coordinator.config().unwrap();

@@ -34,13 +34,16 @@ fn send_request(
     body: Option<&[u8]>,
 ) -> Result<(), String> {
     let body = body.unwrap_or_default();
-    let head = format!(
+    // One write per request, like `http::respond`: a head and a body sent
+    // separately would wait on each other's ACK.
+    let mut message = format!(
         "{method} {path} HTTP/1.1\r\nHost: service\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&message)
         .and_then(|()| stream.flush())
         .map_err(|e| format!("send {method} {path}: {e}"))
 }

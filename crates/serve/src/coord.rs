@@ -57,9 +57,6 @@ impl CoordServer {
         let local = listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
         let stopping = Arc::new(AtomicBool::new(false));
         let accept = {
             let stopping = Arc::clone(&stopping);
@@ -70,7 +67,6 @@ impl CoordServer {
                     http::accept_loop(
                         &listener,
                         || stopping.load(Ordering::SeqCst),
-                        || {},
                         move |stream, request| route(&coordinator, stream, request),
                     );
                 })
@@ -98,6 +94,7 @@ impl CoordServer {
     pub fn stop(&mut self) {
         self.stopping.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            http::wake(self.addr);
             let _ = accept.join();
         }
     }

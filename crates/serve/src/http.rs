@@ -7,19 +7,34 @@
 //! registry access, so a hand-rolled reader beats a vendored framework.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long the accept loop sleeps when no connection is pending — the
-/// latency floor of noticing a stop request.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// How long an accepted connection may stay silent mid-request before
 /// its handler gives up on it. Requests are a few KB sent in one burst;
 /// a client that stalls this long is stuck or hostile, and without the
 /// bound it would pin its handler thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long one write of a response may wait for the peer to make room.
+/// A client that asks for an outcome or an event stream and then never
+/// reads would otherwise pin its handler thread once the socket buffers
+/// fill; with the bound it is dropped at the first write that sends
+/// nothing for this long — a few timeouts in, because a write that sent
+/// something before timing out reports that part and the next one waits
+/// afresh.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How many connections are served at once. Every one holds a thread (an
+/// event-stream subscriber for as long as its job runs), so the count is
+/// bounded; a connection past it is answered `503` from the accept thread
+/// and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a refused connection is given to deliver the request it was
+/// already sending, so that closing it does not reset the `503` away.
+const REFUSE_LINGER: Duration = Duration::from_millis(100);
 
 /// Largest accepted request head (request line plus every header line).
 /// The service's own clients send under 200 bytes; the bound keeps a
@@ -55,30 +70,41 @@ impl Request {
     }
 }
 
-/// The poll-accept-dispatch loop both HTTP servers of this crate run on
-/// their accept thread: until `stop()` holds, call `tick()` (a periodic
-/// hook — the daemon polls for signals there), accept what is pending on
-/// the non-blocking `listener`, and serve each connection on a thread of
-/// its own — a 10 s read timeout set, one request read (a malformed one is
-/// answered `400`), then `route` — so one silent or slow client never
-/// delays another's request. Joins every connection thread before
-/// returning.
+/// The accept-dispatch loop both HTTP servers of this crate run on their
+/// accept thread: block in `accept()` on the (blocking) `listener` and
+/// serve each connection on a thread of its own — read and write timeouts
+/// set, one request read (a malformed one is answered `400`), then `route`
+/// — so one silent or slow client never delays another's request, and at
+/// most [`MAX_CONNECTIONS`] of them are held at once. The loop ends at the
+/// first accept after `stop()` holds: whoever flips `stop` then calls
+/// [`wake`] so that accept happens now. Joins every connection thread
+/// before returning.
 pub fn accept_loop(
     listener: &TcpListener,
     stop: impl Fn() -> bool,
-    mut tick: impl FnMut(),
     route: impl Fn(&mut TcpStream, &Request) -> Result<(), String> + Clone + Send + 'static,
 ) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !stop() {
-        tick();
         let Ok((mut stream, _)) = listener.accept() else {
-            // Nothing pending (`WouldBlock`) or a transient accept error.
-            std::thread::sleep(ACCEPT_POLL);
+            // The peer reset first, or the process is out of descriptors:
+            // either way, do not spin on it.
+            std::thread::sleep(Duration::from_millis(10));
             continue;
         };
-        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        if stop() {
+            break; // the wake-up connection, or a client that lost the race
+        }
+        let timeouts = stream
+            .set_read_timeout(Some(READ_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
+        if timeouts.is_err() {
             continue; // the peer is already gone
+        }
+        connections.retain(|c| !c.is_finished());
+        if connections.len() >= MAX_CONNECTIONS {
+            refuse(stream);
+            continue;
         }
         let route = route.clone();
         let spawned = std::thread::Builder::new()
@@ -91,13 +117,42 @@ pub fn accept_loop(
                     Err(e) => respond_error(&mut stream, 400, &e),
                 };
             });
-        connections.retain(|c| !c.is_finished());
         // On a spawn failure the connection drops, which the client sees
         // as a closed socket.
         connections.extend(spawned);
     }
     for connection in connections {
         let _ = connection.join();
+    }
+}
+
+/// Makes the [`accept_loop`] listening on `addr` return from `accept()`
+/// and look at its `stop()` — by connecting to it. Call after flipping
+/// whatever `stop()` reads. A listener bound to the wildcard address is
+/// reached over loopback.
+pub fn wake(addr: SocketAddr) {
+    let mut addr = addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A failed connect means nobody is accepting any more.
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+/// Answers a connection past [`MAX_CONNECTIONS`] with `503` without giving
+/// it a thread. The accept thread itself waits, at most [`REFUSE_LINGER`],
+/// for the request the client is already sending: closing with it unread
+/// would reset the connection and could take the response with it.
+fn refuse(mut stream: TcpStream) {
+    let message = format!("busy: {MAX_CONNECTIONS} connections are being served");
+    if respond_error(&mut stream, 503, &message).is_ok()
+        && stream.shutdown(Shutdown::Write).is_ok()
+        && stream.set_read_timeout(Some(REFUSE_LINGER)).is_ok()
+    {
+        let _ = stream.read(&mut [0u8; 1024]);
     }
 }
 
@@ -196,7 +251,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Content-Length` response and flushes it.
+/// Writes a complete `Content-Length` response, as one write, and flushes
+/// it.
 ///
 /// # Errors
 ///
@@ -207,14 +263,17 @@ pub fn respond(
     content_type: &str,
     body: &[u8],
 ) -> Result<(), String> {
-    let head = format!(
+    // Head and body leave in one write: two small writes on a socket with
+    // Nagle's algorithm on make the second wait for the peer's delayed ACK.
+    let mut message = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
-    );
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&message)
         .and_then(|()| stream.flush())
         .map_err(|e| format!("response: {e}"))
 }
@@ -278,11 +337,11 @@ impl<'a> ChunkedWriter<'a> {
         if payload.is_empty() {
             return Ok(());
         }
-        let head = format!("{:x}\r\n", payload.len());
+        let mut chunk = format!("{:x}\r\n", payload.len()).into_bytes();
+        chunk.extend_from_slice(payload);
+        chunk.extend_from_slice(b"\r\n");
         self.stream
-            .write_all(head.as_bytes())
-            .and_then(|()| self.stream.write_all(payload))
-            .and_then(|()| self.stream.write_all(b"\r\n"))
+            .write_all(&chunk)
             .and_then(|()| self.stream.flush())
             .map_err(|e| format!("chunk: {e}"))
     }
@@ -297,5 +356,55 @@ impl<'a> ChunkedWriter<'a> {
             .write_all(b"0\r\n\r\n")
             .and_then(|()| self.stream.flush())
             .map_err(|e| format!("chunk terminator: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Instant;
+
+    #[test]
+    fn a_reader_that_never_drains_is_dropped_at_the_write_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let (wrote, written) = mpsc::channel();
+        let accept = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                accept_loop(
+                    &listener,
+                    || stop.load(Ordering::SeqCst),
+                    move |stream, _| {
+                        // Far more than the socket buffers of both ends hold.
+                        let result = respond(stream, 200, "text/plain", &vec![b'.'; 32 << 20]);
+                        let _ = wrote.send(result.clone());
+                        result
+                    },
+                );
+            })
+        };
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .write_all(b"GET /big HTTP/1.1\r\n\r\n")
+            .expect("request sent");
+        let asked = Instant::now();
+        // The client holds the connection open and reads nothing.
+        let result = written
+            .recv_timeout(8 * WRITE_TIMEOUT)
+            .expect("the handler gave up on its own");
+        assert!(result.is_err(), "32 MB fitted into the socket buffers");
+        assert!(
+            asked.elapsed() >= WRITE_TIMEOUT,
+            "the write failed after {:?}, before any timeout",
+            asked.elapsed()
+        );
+        stop.store(true, Ordering::SeqCst);
+        wake(addr);
+        accept.join().expect("accept loop ends");
+        drop(client);
     }
 }

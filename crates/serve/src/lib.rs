@@ -16,7 +16,7 @@
 //! | route | effect |
 //! |---|---|
 //! | `POST /scenarios` | submit a scenario (or `{"builtin": name, "quick": true}`); `?shards=N` fans it out |
-//! | `GET /jobs/:id` | job status, with the outcome embedded once done |
+//! | `GET /jobs/:id` | job status (state, digest, shards, error) |
 //! | `GET /jobs/:id/events` | chunked JSONL stream of the job's run events (many subscribers) |
 //! | `GET /jobs/:id/outcome` | the raw stored outcome bytes |
 //! | `GET /healthz` | liveness |
@@ -42,4 +42,4 @@ pub mod spool;
 
 pub use coord::{CoordClient, CoordServer};
 pub use server::{ServeConfig, Server};
-pub use spool::{digest_hex, Spool};
+pub use spool::{digest_hex, JournalFile, Spool};

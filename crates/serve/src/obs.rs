@@ -22,13 +22,14 @@ pub(crate) fn spool_read_seconds() -> &'static Arc<WallHistogram> {
     })
 }
 
-/// Wall-clock latency of one atomic spool write (temp file + rename).
+/// Wall-clock latency of one spool write: an atomic file (temp file +
+/// rename) or one record appended to a checkpoint journal.
 pub(crate) fn spool_write_seconds() -> &'static Arc<WallHistogram> {
     static H: OnceLock<Arc<WallHistogram>> = OnceLock::new();
     H.get_or_init(|| {
         bcbpt_obs::global().histogram(
             "bcbpt_serve_spool_write_seconds",
-            "Wall-clock latency of one atomic spool write",
+            "Wall-clock latency of one spool write (atomic file or journal append)",
         )
     })
 }

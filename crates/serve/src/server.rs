@@ -39,11 +39,11 @@
 //!
 //! `POST /shutdown` (or SIGINT/SIGTERM when signal polling is on) flips
 //! the drain flag: workers stop pulling tasks, and every running shard
-//! parks at its next checkpoint — the sink persists the checkpoint
-//! durably, then returns an error, which aborts the shard run without
-//! losing folded work. Parked and still-queued jobs keep their spool
-//! directories; a service restarted on the same spool re-enqueues them
-//! and resumes from the checkpoints, replaying the already-folded prefix
+//! parks at its next checkpoint — the sink appends the record to the
+//! shard's journal, then returns an error, which aborts the shard run
+//! without losing folded work. Parked and still-queued jobs keep their
+//! spool directories; a service restarted on the same spool re-enqueues
+//! them and resumes from the journals, replaying the already-folded prefix
 //! of the event stream via [`checkpoint_replay_events`]. Subscribers of a
 //! parked job see their chunked stream close without the
 //! `scenario_completed` terminator — the signal to re-subscribe after
@@ -52,12 +52,12 @@
 use crate::events::{EventLog, Next};
 use crate::http::{self, ChunkedWriter, Request};
 use crate::signals;
-use crate::spool::{digest_hex, Spool, SpooledJob};
+use crate::spool::{digest_hex, JournalFile, Spool, SpooledJob};
 use bcbpt_cluster::ProtocolRegistry;
 use bcbpt_core::{
-    checkpoint_replay_events, merge_shards, run_shard_with, Checkpoint, LocalCoordinator,
-    PartialOutcome, RunEvent, Scenario, ScenarioOutcome, Sealed, ShardObserver, ShardPlan,
-    ShardRunOptions, ShardSpec, StopCoordinator, WarmCache,
+    checkpoint_replay_events, merge_shards, run_shard_with, Checkpoint, CheckpointBody, Journal,
+    LocalCoordinator, PartialOutcome, RunEvent, Scenario, ScenarioOutcome, Sealed, ShardObserver,
+    ShardPlan, ShardRunOptions, ShardSpec, StopCoordinator, WarmCache,
 };
 use bcbpt_obs::{Counter, Gauge, Registry, WallHistogram};
 use serde::Value;
@@ -83,11 +83,12 @@ pub struct ServeConfig {
     pub spool: PathBuf,
     /// Warm-snapshot cache capacity (warmed networks held in memory).
     pub warm_capacity: usize,
-    /// Folds between checkpoints while a shard runs (lower = finer drain
-    /// granularity).
+    /// Folds per checkpoint record while a shard runs (lower = finer
+    /// drain granularity).
     pub checkpoint_every: usize,
-    /// Poll for SIGINT/SIGTERM (via [`signals`]) and treat one as a drain
-    /// request. The CLI turns this on; in-process tests leave it off.
+    /// Poll for SIGINT/SIGTERM (via [`signals`], on a thread of its own)
+    /// and treat one as a drain request. The CLI turns this on; in-process
+    /// tests leave it off.
     pub poll_signals: bool,
 }
 
@@ -106,6 +107,9 @@ impl ServeConfig {
         }
     }
 }
+
+/// How often the signal poller looks at the flag the handler sets.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
 
 /// Job lifecycle. `Queued → Running → Done`, with `Failed` (run-time
 /// error) and `Parked` (drained mid-run, resumable on restart) as exits.
@@ -161,6 +165,8 @@ impl Job {
         *self.phase.lock().expect("job phase lock") = phase;
     }
 
+    /// The `GET /jobs/:id` body. Status only — a poller reads this every
+    /// few milliseconds, so the outcome stays on its own route.
     fn status_json(&self) -> String {
         let phase = self.phase();
         let mut entries = vec![
@@ -176,11 +182,6 @@ impl Job {
         ];
         if let Phase::Failed(error) = &phase {
             entries.push(("error".to_string(), Value::Str(error.clone())));
-        }
-        if let Some(outcome) = self.outcome.lock().expect("job outcome lock").as_ref() {
-            if let Ok(value) = serde_json::from_str::<Value>(outcome) {
-                entries.push(("outcome".to_string(), value));
-            }
         }
         serde_json::to_string(&Value::Map(entries)).expect("status serializes")
     }
@@ -306,14 +307,7 @@ struct ServerState {
 
 impl ServerState {
     fn draining(&self) -> bool {
-        if self.drain.load(Ordering::SeqCst) {
-            return true;
-        }
-        if self.config.poll_signals && signals::drain_requested() {
-            self.request_drain();
-            return true;
-        }
-        false
+        self.drain.load(Ordering::SeqCst)
     }
 
     fn request_drain(&self) {
@@ -335,6 +329,8 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The signal poller, when [`ServeConfig::poll_signals`] asked for one.
+    signals: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -355,9 +351,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
         let spool = Spool::open(&config.spool)?;
         let next_job = spool.max_job_number() + 1;
         let warm_capacity = config.warm_capacity;
@@ -393,21 +386,37 @@ impl Server {
                     http::accept_loop(
                         &listener,
                         || state.stopping.load(Ordering::SeqCst),
-                        || {
-                            if state.config.poll_signals && signals::drain_requested() {
-                                state.request_drain();
-                            }
-                        },
                         move |stream, request| route(&conn_state, stream, request),
                     );
                 })
                 .map_err(|e| format!("spawn accept loop: {e}"))?
+        };
+        // Nothing else looks at the signal flag: the poller turns it into
+        // the same drain request `POST /shutdown` makes, and ends with the
+        // drain — whoever asked for it.
+        let signals = if state.config.poll_signals {
+            let state = Arc::clone(&state);
+            let poller = std::thread::Builder::new()
+                .name("serve-signals".to_string())
+                .spawn(move || {
+                    while !state.draining() {
+                        if signals::drain_requested() {
+                            return state.request_drain();
+                        }
+                        std::thread::sleep(SIGNAL_POLL);
+                    }
+                })
+                .map_err(|e| format!("spawn signal poller: {e}"))?;
+            Some(poller)
+        } else {
+            None
         };
         Ok(Server {
             state,
             addr,
             accept: Some(accept),
             workers: worker_handles,
+            signals,
         })
     }
 
@@ -433,6 +442,10 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().map_err(|_| "worker thread panicked")?;
         }
+        // Workers only return under a drain, which also ends the poller.
+        if let Some(signals) = self.signals.take() {
+            signals.join().map_err(|_| "signal poller panicked")?;
+        }
         self.state.stopping.store(true, Ordering::SeqCst);
         // Close every stream a subscriber might still be tailing: without
         // this, a subscriber of a queued (never-started) job would hang
@@ -442,6 +455,7 @@ impl Server {
         }
         // The accept loop joins its connection handlers on the way out.
         if let Some(accept) = self.accept.take() {
+            http::wake(self.addr);
             accept.join().map_err(|_| "accept thread panicked")?;
         }
         Ok(())
@@ -468,7 +482,8 @@ fn restore_spooled_jobs(state: &Arc<ServerState>) {
             .iter()
             .enumerate()
             .map(|(shard, text)| {
-                let part = PartialOutcome::from_json(text.as_deref()?);
+                let part = PartialOutcome::from_json(text.as_deref()?)
+                    .and_then(|part| part.verify_seal().map(|()| part));
                 trusted(&format!("job {id} part {shard}"), part)
             })
             .collect();
@@ -535,14 +550,13 @@ fn restore_spooled_jobs(state: &Arc<ServerState>) {
     }
 }
 
-/// One spooled envelope, if this binary can trust it. A file that does not
-/// parse, was sealed under another wire-format version (a spool that
-/// outlived an upgrade) or is corrupt reads as absent — logged, never an
-/// error — so its shard runs again from scratch.
-fn trusted<T: Sealed>(what: &str, parsed: Result<T, String>) -> Option<T> {
-    parsed
-        .and_then(|envelope| envelope.verify_seal().map(|()| envelope))
-        .map_err(|e| bcbpt_obs::warn!("spool: {what}: {e} — ignoring the file"))
+/// What was read from one spooled file, if this binary can trust it. A
+/// part or checkpoint journal that does not parse, was sealed under
+/// another wire-format version (a spool that outlived an upgrade) or is
+/// corrupt reads as absent — logged, never an error — so its shard runs
+/// again from scratch.
+fn trusted<T>(what: &str, read: Result<T, String>) -> Option<T> {
+    read.map_err(|e| bcbpt_obs::warn!("spool: {what}: {e} — ignoring the file"))
         .ok()
 }
 
@@ -586,19 +600,21 @@ fn run_shard_task(state: &Arc<ServerState>, job: &Arc<Job>, shard: usize) {
         Ok(spec) => spec,
         Err(e) => return fail_job(state, job, e),
     };
-    // Crash-idempotent resume: a torn or stale checkpoint file reads as
-    // "start this shard from scratch", never as an error.
+    // Crash-idempotent resume: a journal continues from whatever prefix of
+    // it is whole, and a file that is not a journal this binary can read
+    // (torn inside its header, or a checkpoint of an older format) reads
+    // as "start this shard from scratch", never as an error.
     let resume = state
         .spool
         .load_checkpoint(&job.id, shard)
-        .and_then(|text| {
-            let checkpoint = Checkpoint::from_json(&text);
-            trusted(&format!("job {} checkpoint {shard}", job.id), checkpoint)
+        .and_then(|bytes| {
+            let journal = Journal::read(&bytes);
+            trusted(&format!("job {} checkpoint {shard}", job.id), journal)
         });
     let live_stream = job.shards == 1;
     if live_stream {
-        if let Some(checkpoint) = &resume {
-            match checkpoint_replay_events(&job.scenario, checkpoint) {
+        if let Some(journal) = &resume {
+            match checkpoint_replay_events(&job.scenario, journal) {
                 Ok(events) => {
                     // The already-folded prefix, reconstructed — not
                     // re-executed, so it does not count as runs executed.
@@ -611,19 +627,28 @@ fn run_shard_task(state: &Arc<ServerState>, job: &Arc<Job>, shard: usize) {
             }
         }
     }
+    let journal_path = state.spool.checkpoint_path(&job.id, shard);
+    let valid_len = resume.as_ref().map_or(0, |journal| journal.valid_len);
+    let mut journal_file = match JournalFile::open(&journal_path, valid_len as u64) {
+        Ok(file) => file,
+        Err(e) => return fail_job(state, job, format!("{}: {e}", journal_path.display())),
+    };
     let sink_state = Arc::clone(state);
-    let sink_job = Arc::clone(job);
     let coordinated = job.coordinator.is_some();
-    let mut sink_fn = move |checkpoint: &Checkpoint| -> Result<(), String> {
-        let json = format!("{}\n", checkpoint.to_json());
-        sink_state
-            .spool
-            .write_checkpoint(&sink_job.id, shard, &json)?;
-        if sink_state.drain.load(Ordering::SeqCst) && !coordinated {
-            // The checkpoint is durable; refusing here parks the shard
-            // with zero lost work (the drain contract). Coordinated shards
-            // run to completion instead: parking one shard would leave its
-            // peers blocked on the cell's stop decision forever.
+    let mut sink_fn = move |record: &Checkpoint| -> Result<(), String> {
+        {
+            let _timer = crate::obs::spool_write_seconds().start_timer();
+            journal_file
+                .append(&record.to_json())
+                .map_err(|e| format!("{}: {e}", journal_path.display()))?;
+        }
+        // The record is in the journal; refusing here parks the shard with
+        // zero lost work (the drain contract) — except on a cell-warmed
+        // record, whose fold arrives in the record right after it.
+        // Coordinated shards run to completion instead: parking one shard
+        // would leave its peers blocked on the cell's stop decision forever.
+        let parks = !matches!(record.body, CheckpointBody::CellWarmed { .. });
+        if parks && !coordinated && sink_state.draining() {
             return Err("service draining — parked at a durable checkpoint".to_string());
         }
         Ok(())

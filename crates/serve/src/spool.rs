@@ -7,7 +7,7 @@
 //! <spool>/events/<digest>.jsonl            the run's serialized event stream
 //! <spool>/jobs/<id>/job.json               submitted job (scenario + shard count)
 //! <spool>/jobs/<id>/part-<i>.json          completed shard parts
-//! <spool>/jobs/<id>/checkpoint-<i>.json    mid-shard checkpoints (PR 6 format)
+//! <spool>/jobs/<id>/checkpoint-<i>.json    shard i's checkpoint journal (JSON lines)
 //! ```
 //!
 //! Outcomes and events are keyed by [`Scenario::digest`] (canonical
@@ -20,13 +20,20 @@
 //! removed only once the outcome is durably stored — a restarted service
 //! re-enqueues whatever directories remain.
 //!
-//! All writes are atomic (temp file + rename), matching the driver's
-//! checkpoint discipline: a crash leaves the previous state or nothing,
-//! never a torn file.
+//! Every file but the journals is written atomically (temp file + rename):
+//! a crash leaves the previous state or nothing, never a torn file. A
+//! checkpoint journal is the one file that grows in place — a
+//! [`JournalFile`] appends one sealed [`Checkpoint`](bcbpt_core::Checkpoint)
+//! line per record, so a shard's checkpointing writes each fold once — and
+//! it needs no atomicity: the records' seals chain, so
+//! [`Journal::read`](bcbpt_core::Journal::read) keeps exactly the prefix
+//! that was written whole, and the resumed shard cuts the file back to it
+//! before appending. A crash mid-append costs the folds of that one record.
 
 use bcbpt_core::Scenario;
 use serde::{Deserialize, Serialize, Value};
 use std::fs;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -45,6 +52,53 @@ pub struct SpooledJob {
     pub scenario: Scenario,
     /// Already-completed shard parts, by shard index (`None` = not done).
     pub parts: Vec<Option<String>>,
+}
+
+/// The append side of one checkpoint journal file — the daemon's per-shard
+/// `checkpoint-<i>.json` and the driver's `--checkpoint <path>` alike.
+pub struct JournalFile {
+    file: fs::File,
+    /// Bytes of whole records in the file: where the next one goes.
+    len: u64,
+}
+
+impl JournalFile {
+    /// Opens `path`, creating it if need be, and cuts it to its first
+    /// `valid_len` bytes — the [`valid_len`](bcbpt_core::Journal::valid_len)
+    /// of the journal being resumed, or 0 to start one.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error.
+    pub fn open(path: &Path, valid_len: u64) -> std::io::Result<JournalFile> {
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)?;
+        file.set_len(valid_len)?;
+        Ok(JournalFile {
+            file,
+            len: valid_len,
+        })
+    }
+
+    /// Appends one record line (`Checkpoint::to_json`, no newline). Safe
+    /// to call again after a failure: every attempt first cuts the file
+    /// back to its last whole record, so a write that failed half-way
+    /// never stays in front of the retried one.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error; the record is then not in the journal.
+    pub fn append(&mut self, record_json: &str) -> std::io::Result<()> {
+        let line = format!("{record_json}\n");
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(line.as_bytes())?;
+        self.len += line.len() as u64;
+        Ok(())
+    }
 }
 
 /// Handle to one spool directory (see the module docs for the layout).
@@ -108,7 +162,7 @@ impl Spool {
         self.root.join("jobs").join(id)
     }
 
-    /// Where shard `shard` of job `id` checkpoints its folded prefix.
+    /// Where shard `shard` of job `id` keeps its checkpoint journal.
     pub fn checkpoint_path(&self, id: &str, shard: usize) -> PathBuf {
         self.job_dir(id).join(format!("checkpoint-{shard}.json"))
     }
@@ -189,19 +243,11 @@ impl Spool {
         Self::write_atomic(&self.part_path(id, shard), part_json.as_bytes())
     }
 
-    /// Durably persists shard `shard`'s latest checkpoint (atomic write,
-    /// same discipline as the driver's `--checkpoint`).
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn write_checkpoint(&self, id: &str, shard: usize, json: &str) -> Result<(), String> {
-        Self::write_atomic(&self.checkpoint_path(id, shard), json.as_bytes())
-    }
-
-    /// The checkpoint shard `shard` of job `id` last sealed, if any.
-    pub fn load_checkpoint(&self, id: &str, shard: usize) -> Option<String> {
-        Self::read_timed(&self.checkpoint_path(id, shard)).ok()
+    /// The bytes of shard `shard` of job `id`'s checkpoint journal, if it
+    /// started one.
+    pub fn load_checkpoint(&self, id: &str, shard: usize) -> Option<Vec<u8>> {
+        let _timer = crate::obs::spool_read_seconds().start_timer();
+        fs::read(self.checkpoint_path(id, shard)).ok()
     }
 
     /// Every job directory still on disk, with whatever parts its shards

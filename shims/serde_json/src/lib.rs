@@ -38,6 +38,7 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 /// Returns a description of the first syntax or shape error.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -148,6 +149,8 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -283,12 +286,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::custom(e.to_string()))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Everything up to the next quote or escape is copied
+                    // as one span. Both are ASCII, so in UTF-8 they never
+                    // occur inside a multi-byte scalar and the span ends on
+                    // a character boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -399,5 +405,50 @@ mod tests {
         assert!(pretty.contains('\n'));
         let back: Vec<u64> = from_str(&pretty).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// What strings are made of, as (decoded, an encoding the parser must
+    /// accept): plain ASCII, 2-, 3- and 4-byte scalars, every two-character
+    /// escape, and `\uXXXX` in both hex cases. Some encodings are ones
+    /// [`write_string`] never produces.
+    const ATOMS: &[(&str, &str)] = &[
+        ("a", "a"),
+        (" ", " "),
+        ("/", "/"),
+        ("é", "é"),
+        ("ß", "\\u00df"),
+        ("€", "€"),
+        ("→", "\\u2192"),
+        ("𝄞", "𝄞"),
+        ("\"", "\\\""),
+        ("\\", "\\\\"),
+        ("/", "\\/"),
+        ("\n", "\\n"),
+        ("\r", "\\r"),
+        ("\t", "\\t"),
+        ("\u{8}", "\\b"),
+        ("\u{c}", "\\f"),
+        ("\u{1}", "\\u0001"),
+        ("\u{1f}", "\\u001F"),
+    ];
+
+    proptest::proptest! {
+        /// Any sequence of atoms decodes to the atoms' concatenation —
+        /// spans, escapes and multi-byte scalars in any order — and what
+        /// was decoded survives the writer and the parser again.
+        #[test]
+        fn strings_round_trip(picks in proptest::collection::vec(0usize..ATOMS.len(), 0..48)) {
+            let decoded: String = picks.iter().map(|&i| ATOMS[i].0).collect();
+            let encoded: String = picks.iter().map(|&i| ATOMS[i].1).collect();
+            let parsed: String = from_str(&format!("\"{encoded}\"")).unwrap();
+            proptest::prop_assert_eq!(&parsed, &decoded);
+            let rewritten: String = from_str(&to_string(&decoded).unwrap()).unwrap();
+            proptest::prop_assert_eq!(&rewritten, &decoded);
+            // Cut anywhere, the text is an error, never a panic.
+            let text = format!("[\"{encoded}\"]");
+            for cut in (0..text.len()).filter(|&c| text.is_char_boundary(c)) {
+                proptest::prop_assert!(from_str::<Value>(&text[..cut]).is_err());
+            }
+        }
     }
 }

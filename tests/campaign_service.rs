@@ -17,14 +17,15 @@
 //!    wire-format version, a broken seal) read as absent: their shards
 //!    re-run, the job never fails over them.
 //! 4. **Hostile peers** — a connected-but-silent client delays nobody on
-//!    the daemon or the coordinator endpoint, and an oversize request
-//!    head is refused instead of buffered.
+//!    the daemon or the coordinator endpoint, an oversize request head is
+//!    refused instead of buffered, and connections past the cap are
+//!    answered `503` instead of given threads.
+//! 5. **Stopping** — the accept threads block in `accept()`; an idle
+//!    daemon or coordinator endpoint still stops at once, and only a
+//!    daemon asked to poll signals runs a thread for it.
 
 use bcbpt_cluster::ProtocolRegistry;
-use bcbpt_core::{
-    run_shard_with, Checkpoint, LocalCoordinator, Scenario, Sealed, ShardRunOptions, ShardSpec,
-    SHARD_FORMAT_VERSION,
-};
+use bcbpt_core::{run_shard_in, Journal, LocalCoordinator, Scenario, ShardSpec};
 use bcbpt_serve::{client, http, CoordServer, ServeConfig, Server, Spool};
 use serde::Value;
 use std::io::{Read, Write};
@@ -53,6 +54,18 @@ fn start_server(spool: &Path, workers: usize) -> (Server, String) {
 /// CI-scale fig3 — 3 protocol cells, a few runs each.
 fn fig3_quick() -> Scenario {
     Scenario::builtin("fig3").expect("builtin").quick_scaled()
+}
+
+/// [`fig3_quick`] under a loose adaptive stop rule — what a coordinator
+/// endpoint needs to exist.
+fn fig3_adaptive() -> Scenario {
+    let mut scenario = fig3_quick();
+    scenario.stop = Some(bcbpt_core::StopRule::CiHalfWidth {
+        level: 0.95,
+        rel_width: 0.5,
+        min_runs: 2,
+    });
+    scenario
 }
 
 /// A slower single-cell campaign with enough runs that a drain reliably
@@ -190,7 +203,8 @@ fn resubmission_is_served_from_the_digest_keyed_store() {
     let (server, addr) = start_server(&spool, 1);
     let (job, cached) = submit(&addr, &scenario, "");
     assert!(!cached);
-    client::wait_job(&addr, &job, Duration::from_secs(300)).expect("job settles");
+    let settled = client::wait_job(&addr, &job, Duration::from_secs(300)).expect("job settles");
+    assert_eq!(str_field(&settled, "state"), "done");
     let outcome = client::get(&addr, &format!("/jobs/{job}/outcome")).expect("outcome");
     assert_eq!(outcome.status, 200);
     assert_eq!(
@@ -208,6 +222,37 @@ fn resubmission_is_served_from_the_digest_keyed_store() {
     assert_ne!(job2, job, "a cache hit is still a fresh job id");
     let outcome2 = client::get(&addr, &format!("/jobs/{job2}/outcome")).expect("outcome");
     assert_eq!(outcome2.text(), direct);
+    // A status poll is a status poll: however large the outcome, a done
+    // job's status does not carry it — executed or served from the store.
+    for (id, status) in [
+        (&job, settled),
+        (
+            &job2,
+            client::get(&addr, &format!("/jobs/{job2}"))
+                .expect("status")
+                .text(),
+        ),
+    ] {
+        let status: Value = serde_json::from_str(&status).expect("status parses");
+        let keys: Vec<&str> = status
+            .as_map()
+            .expect("status is an object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["job", "state", "digest", "scenario", "shards", "cached"],
+            "{id}"
+        );
+    }
+    let polled = client::get(&addr, &format!("/jobs/{job}")).expect("status");
+    assert!(
+        polled.body.len() < 1024 && direct.len() > 10 * 1024,
+        "a {}-byte status for a {}-byte outcome",
+        polled.body.len(),
+        direct.len()
+    );
     let after = stats(&addr);
     assert_eq!(
         u64_field(&after, "runs_executed"),
@@ -444,42 +489,28 @@ fn drain_park_resume(scenario: &Scenario, tag: &str) -> bool {
 #[test]
 fn untrusted_spool_files_rerun_their_shards_instead_of_failing_the_job() {
     let scenario = fig3_quick();
-    let registry = ProtocolRegistry::builtins();
-    // What a 2-shard job leaves behind mid-flight: shard 0's checkpoint
-    // and shard 1's finished part.
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    let mut sink = |checkpoint: &Checkpoint| -> Result<(), String> {
-        checkpoints.push(checkpoint.clone());
-        Ok(())
-    };
-    let shard = |index: usize, sink| {
-        let options = ShardRunOptions {
-            sink,
-            ..ShardRunOptions::default()
-        };
-        run_shard_with(
-            &scenario,
-            ShardSpec::new(index, 2).unwrap(),
-            &registry,
-            options,
-        )
-        .expect("shard runs")
-    };
-    shard(0, Some(&mut sink));
-    let mut part = shard(1, None);
-    // The checkpoint was sealed by a binary one wire-format version back;
-    // the part took a flipped digest bit on disk. Both still parse.
-    let mut stale = checkpoints.swap_remove(1);
-    assert!(stale.current.is_some(), "a mid-cell checkpoint");
-    stale.version = SHARD_FORMAT_VERSION - 1;
-    stale.seal();
+    // What a 2-shard job of the PR 17 daemon left behind mid-flight: shard
+    // 0's checkpoint — one whole-prefix document of format 4, where this
+    // binary keeps a journal — and shard 1's finished part, which took a
+    // flipped digest bit on disk. Both still parse as JSON.
+    let stale = include_bytes!("fixtures/checkpoint-v4.json");
+    let err = Journal::read(stale).expect_err("a v4 checkpoint is not a journal");
+    assert!(
+        err.contains("checkpoint has wire-format version 4"),
+        "{err}"
+    );
+    let mut part = run_shard_in(
+        &scenario,
+        ShardSpec::new(1, 2).unwrap(),
+        &ProtocolRegistry::builtins(),
+        2,
+    )
+    .expect("shard runs");
     part.digest ^= 1;
     let dir = temp_spool("untrusted");
     let spool = Spool::open(&dir).expect("spool opens");
     spool.write_job("job-1", 2, &scenario).expect("job spooled");
-    spool
-        .write_checkpoint("job-1", 0, &stale.to_json())
-        .expect("checkpoint spooled");
+    std::fs::write(spool.checkpoint_path("job-1", 0), stale).expect("checkpoint spooled");
     spool
         .write_part("job-1", 1, &part.to_json())
         .expect("part spooled");
@@ -497,13 +528,7 @@ fn untrusted_spool_files_rerun_their_shards_instead_of_failing_the_job() {
 fn a_silent_client_delays_nobody_and_an_oversize_head_is_refused() {
     let spool = temp_spool("hostile");
     let (server, daemon_addr) = start_server(&spool, 1);
-    let mut adaptive = fig3_quick();
-    adaptive.stop = Some(bcbpt_core::StopRule::CiHalfWidth {
-        level: 0.95,
-        rel_width: 0.5,
-        min_runs: 2,
-    });
-    let coordinator = Arc::new(LocalCoordinator::new(&adaptive, 2, 1).expect("coordinator"));
+    let coordinator = Arc::new(LocalCoordinator::new(&fig3_adaptive(), 2, 1).expect("coordinator"));
     let mut endpoint = CoordServer::start("127.0.0.1:0", coordinator).expect("endpoint starts");
     let coord_addr = endpoint.local_addr().to_string();
     for (addr, path) in [(&daemon_addr, "/healthz"), (&coord_addr, "/coord/config")] {
@@ -534,6 +559,84 @@ fn a_silent_client_delays_nobody_and_an_oversize_head_is_refused() {
         drop(silent);
     }
     endpoint.stop();
+    server.request_drain();
+    server.wait().expect("drain");
+}
+
+/// The names of this process's threads (Linux: `/proc/self/task/*/comm`).
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
+#[test]
+fn idle_servers_stop_at_once_and_poll_signals_only_when_asked() {
+    // Nobody ever connects: the accept threads sit in a blocking
+    // `accept()`, and stopping has to get them out of it.
+    for poll_signals in [false, true] {
+        let mut config = ServeConfig::new(temp_spool(&format!("idle-{poll_signals}")));
+        config.workers = 1;
+        config.poll_signals = poll_signals;
+        let server = Server::start(config).expect("server starts");
+        // No other test of this binary turns signal polling on. A thread
+        // names itself as it starts, so the poller is given a moment.
+        #[cfg(target_os = "linux")]
+        {
+            let polling = || thread_names().iter().any(|name| name == "serve-signals");
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while poll_signals && !polling() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(polling(), poll_signals, "poll_signals = {poll_signals}");
+        }
+        let asked = Instant::now();
+        server.request_drain();
+        server.wait().expect("drain");
+        assert!(
+            asked.elapsed() < Duration::from_millis(500),
+            "an idle daemon took {:?} to stop",
+            asked.elapsed()
+        );
+    }
+    let coordinator = Arc::new(LocalCoordinator::new(&fig3_adaptive(), 2, 1).expect("coordinator"));
+    let mut endpoint = CoordServer::start("127.0.0.1:0", coordinator).expect("endpoint starts");
+    let asked = Instant::now();
+    endpoint.stop();
+    assert!(
+        asked.elapsed() < Duration::from_millis(500),
+        "an idle coordinator endpoint took {:?} to stop",
+        asked.elapsed()
+    );
+}
+
+#[test]
+fn a_connection_past_the_cap_is_answered_503_without_a_thread() {
+    let spool = temp_spool("cap");
+    let (server, addr) = start_server(&spool, 1);
+    // Fill every slot with a client that connects and says nothing (each
+    // holds its handler until the read timeout, or until it hangs up).
+    let silent: Vec<TcpStream> = (0..http::MAX_CONNECTIONS)
+        .map(|i| TcpStream::connect(addr.as_str()).unwrap_or_else(|e| panic!("client {i}: {e}")))
+        .collect();
+    let refused = client::get(&addr, "/healthz").expect("the refusal is a response");
+    assert_eq!(refused.status, 503, "{}", refused.text());
+    assert!(refused.text().contains("busy"), "{}", refused.text());
+    // The slots come back as their holders leave.
+    drop(silent);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let response = client::get(&addr, "/healthz").expect("request after the flood");
+        if response.status == 200 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "slots never came back");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.request_drain();
     server.wait().expect("drain");
 }
